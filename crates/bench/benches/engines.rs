@@ -341,13 +341,12 @@ fn bench_engines(c: &mut Criterion) {
                 },
             );
             let outcome = runtime.run(&prepared, &[Value::Int(n)]).expect("stats run");
-            // Uniform counter extraction: for the native scheduler a
-            // "suspension" is a park and every completed run resumes each
-            // parked instance exactly once.
+            // Both strategies report the pool's counters: a suspension is a
+            // park, and resumptions are counted as deliveries re-queue
+            // parked instances.
             let (suspensions, resumptions, steals) = match outcome.stats {
-                EngineStats::Native { stats, .. } => (stats.parks, stats.parks, stats.steals),
-                EngineStats::AsyncCoop { stats, .. } => {
-                    (stats.suspensions, stats.resumptions, stats.steals)
+                EngineStats::Native { stats, .. } | EngineStats::AsyncCoop { stats, .. } => {
+                    (stats.parks, stats.resumptions, stats.steals)
                 }
                 other => panic!("pooled stats expected, got {other:?}"),
             };

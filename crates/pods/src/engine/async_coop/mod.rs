@@ -1,64 +1,26 @@
-//! The cooperative (async, futures-style) parallel engine.
+//! The `async` engine: the [`super::pool`] with the `Waker` suspension
+//! strategy.
 //!
-//! The native engine ([`super::NativeParallelEngine`]) already avoids
-//! blocking OS threads on absent operands: the *instance* parks and the
-//! worker moves on. But its suspension protocol is centralised — every
-//! park, wake, and mailbox delivery goes through a job-global scheduler
-//! mutex holding the blocked-instance registry — which puts a floor under
-//! how cheap a suspension can get. The paper's thesis (iteration-level
-//! parallelism pays off only when per-iteration scheduling overhead is
-//! tiny) makes that floor the quantity worth attacking.
-//!
-//! This engine attacks it the way modern async runtimes do: each SP
-//! instance is a **resumable state machine** ([`task::TaskHandle`]) whose
-//! suspension state lives in the task itself. A deferred I-structure read
-//! registers a **waker** — an `Arc` of the task plus the destination slot
-//! — with the shared store's deferred-reader queue and the task keeps
-//! running until the value is actually consumed (the split-phase rule of
-//! the shared core); when the firing rule blocks, the task suspends, and
-//! the write that eventually fills the element delivers the value by
-//! locking only that one task and re-queues it if its awaited slot
-//! arrived. A small cooperative executor ([`executor::AsyncPool`]) runs
-//! the tasks: per-worker run queues, work stealing over *tasks* (not
-//! threads), condvar-idle workers. There is no blocked-instance registry
-//! and no mailbox map: value *delivery* locks only the receiving task.
-//! (Re-queuing a woken task still touches the shared liveness and
-//! ready-count locks — that part of the wake path is common to both
-//! schedulers; what this engine removes is the per-delivery registry
-//! transaction.)
-//!
-//! Everything else deliberately matches the native engine, so the two
-//! schedulers are directly comparable:
-//!
-//! * same `Arc`-shared per-job program state ([`super::native::JobSpec`],
-//!   also the [`crate::PreparedProgram`] fast path),
-//! * same per-job model: one I-structure store, `live`/`in_flight`
-//!   liveness counts with exact deadlock detection, first-error slot,
-//!   drop-cancellation at instruction boundaries,
-//! * same execution semantics *by construction*: both schedulers execute
-//!   instructions through the shared core (`pods_sp::exec`), so operand
-//!   coercion, Range-Filter clamping, and split-phase loads cannot
-//!   diverge (the differential suite double-checks end to end),
-//! * same knobs: [`crate::RunOptions::max_events`] bounds polls,
-//!   [`crate::RunOptions::delivery_batch`] bounds the per-worker waker
-//!   buffer (flushed at every task boundary, so liveness is unaffected).
-//!
-//! [`AsyncStats`] reports `suspensions` / `resumptions` / `steals`
-//! alongside the shared counters, mirroring [`super::NativeStats`], so
-//! `BENCH_engines.json`'s `async_vs_native` group can put the two
-//! schedulers' overheads side by side.
+//! Each SP instance is a futures-style resumable task
+//! ([`task::TaskHandle`]) that keeps its own suspension state: the saved
+//! frame, the slot it awaits, and a small per-task mutex. A waiter is a
+//! *waker* — an `Arc` of the task plus the destination slot — so delivering
+//! a value locks only the receiving task, never a job-global registry, and
+//! re-queues it if its awaited slot arrived. There is no blocked map and no
+//! mailbox; values that arrive while the task runs wait in the task itself.
 
-mod executor;
 mod task;
 
-pub(crate) use executor::{AsyncCanceller, AsyncJobHandle, AsyncPool};
-
-use super::{check_invocation, Engine, EngineOutcome};
-use crate::engine::native::JobSpec;
+use super::pool::{self, Frame, InstMeta, PoolStats, Suspension};
+use super::{Engine, EngineOutcome, EngineStats};
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
-use pods_istructure::{StoreStats, Value};
-use std::time::Instant;
+use pods_istructure::Value;
+use pods_machine::InstanceId;
+use pods_partition::PartitionReport;
+use pods_sp::SlotId;
+use std::sync::Arc;
+use task::{AsyncWaiter, TaskHandle};
 
 /// Executes the partitioned SP program on a cooperative executor with
 /// `opts.num_pes` worker threads: suspended instances are resumed by
@@ -71,105 +33,9 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AsyncCoopEngine;
 
-/// Counters reported by the cooperative executor for one job. The shape
-/// mirrors [`super::NativeStats`] (pool identity, job sequencing, wake-up
-/// delivery) with the scheduler-specific trio the comparison is about:
-/// `suspensions`, `resumptions`, and `steals`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AsyncStats {
-    /// Number of worker threads in the executor that ran the job.
-    pub workers: usize,
-    /// SP instances (tasks) created over the run.
-    pub instances: u64,
-    /// Task polls, counting each resume of a suspended instance (the
-    /// async analogue of [`super::NativeStats::tasks`]).
-    pub polls: u64,
-    /// Times an instance returned `Pending` and saved its frame (the
-    /// async analogue of [`super::NativeStats::parks`]).
-    pub suspensions: u64,
-    /// Suspended instances re-queued because a waker delivered their
-    /// awaited slot. Equals `suspensions` on every run that completes.
-    pub resumptions: u64,
-    /// Tasks obtained by stealing from another worker's run queue.
-    pub steals: u64,
-    /// Process-unique identity of the executor that ran the job (shared
-    /// id space with native pools — no two pools of either kind collide).
-    pub pool_id: u64,
-    /// 1-based sequence number of this job on its executor.
-    pub job_seq: u64,
-    /// Waker deliveries: one per `(waker, value)` pair a write
-    /// re-activated, plus one per function-return value (returns travel
-    /// through the same delivery path).
-    pub wakeups: u64,
-    /// Delivery-buffer flushes that performed those deliveries; batching
-    /// coalesces up to `delivery_batch` wakeups per flush.
-    pub wakeup_flushes: u64,
-    /// Tasks whose frame vector was recycled from a worker's arena
-    /// free-list instead of freshly allocated (the async analogue of
-    /// [`super::NativeStats::arena_reuses`], so the two schedulers pay
-    /// comparable allocator traffic).
-    pub arena_reuses: u64,
-    /// Extra loop iterations absorbed by chunked instances (the async
-    /// analogue of [`super::NativeStats::chunk_iterations`]): grows by one
-    /// each time the chunk driver advanced a task to its next iteration in
-    /// place instead of spawning a fresh task.
-    pub chunk_iterations: u64,
-    /// Super-op firings (the async analogue of
-    /// [`super::NativeStats::super_ops`]): whole fused runs executed in one
-    /// dispatch by the specialized driver.
-    pub super_ops: u64,
-    /// Chunk-size retunes applied by [`crate::Runtime`]'s adaptive grain
-    /// control before this job ran (0 on first runs and fixed policies).
-    pub chunks_autotuned: u64,
-    /// Allocation counters of this job's I-structure store (live/peak
-    /// arrays and approximate bytes).
-    pub store: StoreStats,
-}
-
-impl AsyncStats {
-    /// SP instances (tasks) actually created over the run (alias of
-    /// `instances`, named for symmetry with
-    /// [`Self::iterations_per_instance`]).
-    pub fn instances_spawned(&self) -> u64 {
-        self.instances
-    }
-
-    /// Effective grain: average loop iterations executed per spawned task.
-    /// `1.0` for an unchunked run; grows toward the chunk size as chunking
-    /// takes hold.
-    pub fn iterations_per_instance(&self) -> f64 {
-        if self.instances == 0 {
-            return 0.0;
-        }
-        (self.instances + self.chunk_iterations) as f64 / self.instances as f64
-    }
-}
-
-impl std::fmt::Display for AsyncStats {
-    /// One-line human summary, shared by the examples and the slow-job
-    /// diagnostics (see [`super::EngineStats::summary`]).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "async: {} worker(s), {} instances ({:.1} iter/instance), {} polls, \
-             {} super-ops, {} suspensions, {} steals, {} wakeups in {} flushes, peak {} arrays",
-            self.workers,
-            self.instances,
-            self.iterations_per_instance(),
-            self.polls,
-            self.super_ops,
-            self.suspensions,
-            self.steals,
-            self.wakeups,
-            self.wakeup_flushes,
-            self.store.peak_arrays,
-        )
-    }
-}
-
 impl Engine for AsyncCoopEngine {
     fn name(&self) -> &'static str {
-        "async"
+        Waker::NAME
     }
 
     fn description(&self) -> &'static str {
@@ -182,305 +48,92 @@ impl Engine for AsyncCoopEngine {
         args: &[Value],
         opts: &RunOptions,
     ) -> Result<EngineOutcome, PodsError> {
-        check_invocation(program, args)?;
-        let start = Instant::now();
-        let pool = AsyncPool::new(opts.num_pes.max(1));
-        let handle = pool.submit(JobSpec::from_options(program, opts), args);
-        let mut outcome = handle.wait()?;
-        // The cold path owns the executor, so its wall-clock honestly
-        // includes executor spawn, measured from entry.
-        outcome.wall_us = start.elapsed().as_secs_f64() * 1e6;
-        Ok(outcome)
+        pool::run_cold::<Waker>(program, args, opts)
+    }
+}
+
+/// The waker suspension strategy (see the module docs).
+pub(crate) struct Waker;
+
+impl Suspension for Waker {
+    const NAME: &'static str = "async";
+    type Waiter = AsyncWaiter;
+    type Task = Arc<TaskHandle>;
+    type Running = Arc<TaskHandle>;
+    type State = ();
+
+    fn task(meta: InstMeta<AsyncWaiter>, frame: Frame) -> Arc<TaskHandle> {
+        Arc::new(TaskHandle::new(meta, frame))
+    }
+
+    fn task_id(task: &Arc<TaskHandle>) -> InstanceId {
+        task.meta.id
+    }
+
+    fn begin(task: Arc<TaskHandle>) -> (Arc<TaskHandle>, Frame) {
+        let frame = task.begin_poll();
+        (task, frame)
+    }
+
+    fn meta(running: &Arc<TaskHandle>) -> &InstMeta<AsyncWaiter> {
+        &running.meta
+    }
+
+    fn waiter(running: &Arc<TaskHandle>, slot: SlotId) -> AsyncWaiter {
+        AsyncWaiter {
+            task: Arc::clone(running),
+            slot,
+        }
+    }
+
+    fn deliver(
+        _state: &(),
+        batch: std::vec::Drain<'_, (AsyncWaiter, Value)>,
+        woken: &mut Vec<Arc<TaskHandle>>,
+    ) {
+        for (waiter, value) in batch {
+            if waiter.task.deliver(waiter.slot, value) {
+                woken.push(waiter.task);
+            }
+        }
+    }
+
+    fn try_suspend(
+        _state: &(),
+        running: Arc<TaskHandle>,
+        frame: Frame,
+        slot: SlotId,
+    ) -> Option<(Arc<TaskHandle>, Frame)> {
+        let frame = running.try_suspend(frame, slot)?;
+        Some((running, frame))
+    }
+
+    fn retire(running: &Arc<TaskHandle>) {
+        running.retire();
+    }
+
+    fn engine_stats(stats: PoolStats, partition: PartitionReport) -> EngineStats {
+        EngineStats::AsyncCoop { stats, partition }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::EngineStats;
-    use crate::pipeline::compile;
-    use pods_machine::SimulationError;
+    use super::Waker;
 
-    fn run_async(src: &str, args: &[Value], workers: usize) -> EngineOutcome {
-        let program = compile(src).unwrap();
-        AsyncCoopEngine
-            .run(&program, args, &RunOptions::with_pes(workers))
-            .unwrap()
-    }
-
-    fn async_stats(outcome: &EngineOutcome) -> AsyncStats {
-        match &outcome.stats {
-            EngineStats::AsyncCoop { stats, .. } => *stats,
-            other => panic!("expected async stats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn scalar_and_function_calls() {
-        let outcome = run_async(
-            "def main(n) { x = double(n); return x + 1; } def double(v) { return v * 2; }",
-            &[Value::Int(10)],
-            2,
-        );
-        assert_eq!(outcome.return_value, Some(Value::Int(21)));
-        let stats = async_stats(&outcome);
-        assert_eq!(stats.workers, 2);
-        assert!(stats.instances >= 2);
-        assert!(stats.polls >= stats.instances);
-    }
-
-    #[test]
-    fn distributed_fill_is_complete_on_any_worker_count() {
-        let src = r#"
-            def main(n) {
-                a = matrix(n, n);
-                for i = 0 to n - 1 {
-                    for j = 0 to n - 1 { a[i, j] = i * n + j; }
-                }
-                return a;
-            }
-        "#;
-        let reference = run_async(src, &[Value::Int(8)], 1);
-        let expected = reference.returned_array().unwrap().to_f64(-1.0);
-        for workers in [2, 4, 8] {
-            let outcome = run_async(src, &[Value::Int(8)], workers);
-            let a = outcome.returned_array().unwrap();
-            assert!(a.is_complete(), "incomplete on {workers} workers");
-            assert_eq!(
-                a.to_f64(-1.0),
-                expected,
-                "wrong values on {workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn consumers_suspend_until_producers_write_and_counters_balance() {
-        let src = r#"
-            def main(n) {
-                a = array(n);
-                for i = 0 to n - 1 { a[i] = i * 2; }
-                s = a[n - 1] + a[0];
-                return s;
-            }
-        "#;
-        let outcome = run_async(src, &[Value::Int(10)], 4);
-        assert_eq!(outcome.return_value, Some(Value::Int(18)));
-        let stats = async_stats(&outcome);
-        // Every suspension of a completed run was resumed by a waker.
-        assert_eq!(stats.suspensions, stats.resumptions);
-        assert!(stats.polls >= stats.instances + stats.resumptions);
-    }
-
-    #[test]
-    fn carried_recurrence_is_computed_correctly() {
-        let src = r#"
-            def main(n) {
-                src = array(n);
-                for i = 0 to n - 1 { src[i] = i * 1.0; }
-                acc = array(n);
-                acc[0] = src[0];
-                for i = 1 to n - 1 { acc[i] = acc[i - 1] + src[i]; }
-                return acc;
-            }
-        "#;
-        let outcome = run_async(src, &[Value::Int(16)], 4);
-        let acc = outcome.returned_array().unwrap();
-        assert!(acc.is_complete());
-        assert_eq!(acc.get(&[15]), Some(Value::Float(120.0)));
-    }
-
-    #[test]
-    fn single_assignment_violation_is_a_runtime_error() {
-        let program =
-            compile("def main(n) { a = array(n); for i = 0 to n - 1 { a[0] = i; } return 0; }")
-                .unwrap();
-        let err = AsyncCoopEngine
-            .run(&program, &[Value::Int(4)], &RunOptions::with_pes(1))
-            .unwrap_err();
-        assert!(
-            matches!(err, PodsError::Simulation(SimulationError::Runtime(_))),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn reading_a_never_written_element_is_detected_as_deadlock() {
-        let program = compile("def main(n) { a = array(n); a[0] = 1; return a[1]; }").unwrap();
-        for workers in [1, 4] {
-            let err = AsyncCoopEngine
-                .run(&program, &[Value::Int(4)], &RunOptions::with_pes(workers))
-                .unwrap_err();
-            let PodsError::Simulation(SimulationError::Deadlock { detail, .. }) = &err else {
-                panic!("workers={workers}: expected deadlock, got {err}");
-            };
-            assert!(
-                detail.contains("awaiting"),
-                "deadlock detail must name the awaited slot: {detail}"
-            );
-        }
-    }
-
-    #[test]
-    fn poll_limit_aborts_runaway_runs() {
-        let program = compile(
-            "def main(n) { a = matrix(n, n); for i = 0 to n - 1 { for j = 0 to n - 1 { a[i, j] = i + j; } } return a; }",
-        )
-        .unwrap();
-        let mut opts = RunOptions::with_pes(2);
-        opts.max_events = 3;
-        let err = AsyncCoopEngine
-            .run(&program, &[Value::Int(8)], &opts)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            PodsError::Simulation(SimulationError::EventLimitExceeded { limit: 3 })
-        ));
-    }
-
-    #[test]
-    fn out_of_bounds_store_is_reported() {
-        let program = compile("def main(n) { a = array(n); a[n + 5] = 1; return 0; }").unwrap();
-        let err = AsyncCoopEngine
-            .run(&program, &[Value::Int(4)], &RunOptions::with_pes(2))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            PodsError::Simulation(SimulationError::Runtime(_))
-        ));
-    }
-
-    #[test]
-    fn one_executor_runs_many_jobs_with_disjoint_state() {
-        let fill =
-            compile("def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i * 3; } return a; }")
-                .unwrap();
-        let scalar = compile("def main(n) { return n * 7; }").unwrap();
-        let pool = AsyncPool::new(4);
-        let opts = RunOptions::with_pes(4);
-        let mut handles = Vec::new();
-        for k in 0..6i64 {
-            let (program, args) = if k % 2 == 0 {
-                (&fill, vec![Value::Int(8 + k)])
-            } else {
-                (&scalar, vec![Value::Int(k)])
-            };
-            handles.push((k, pool.submit(JobSpec::from_options(program, &opts), &args)));
-        }
-        let mut seqs = Vec::new();
-        for (k, handle) in handles {
-            let outcome = handle.wait().unwrap();
-            if k % 2 == 0 {
-                let a = outcome.returned_array().unwrap();
-                assert!(a.is_complete(), "job {k} incomplete");
-                assert_eq!(a.get(&[2]), Some(Value::Int(6)), "job {k}");
-            } else {
-                assert_eq!(outcome.return_value, Some(Value::Int(k * 7)), "job {k}");
-            }
-            let stats = async_stats(&outcome);
-            assert_eq!(stats.pool_id, pool.id());
-            seqs.push(stats.job_seq);
-        }
-        seqs.sort_unstable();
-        assert_eq!(seqs, vec![1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn a_failing_job_does_not_poison_the_executor() {
-        let bad = compile("def main(n) { a = array(n); a[0] = 1; return a[1]; }").unwrap();
-        let good = compile("def main(n) { return n + 1; }").unwrap();
-        let pool = AsyncPool::new(2);
-        let opts = RunOptions::with_pes(2);
-        let bad_handle = pool.submit(JobSpec::from_options(&bad, &opts), &[Value::Int(4)]);
-        let good_handle = pool.submit(JobSpec::from_options(&good, &opts), &[Value::Int(4)]);
-        assert!(bad_handle.wait().is_err());
-        assert_eq!(
-            good_handle.wait().unwrap().return_value,
-            Some(Value::Int(5))
-        );
-        let again = pool.submit(JobSpec::from_options(&good, &opts), &[Value::Int(9)]);
-        assert_eq!(again.wait().unwrap().return_value, Some(Value::Int(10)));
-    }
-
-    #[test]
-    fn batched_waker_delivery_coalesces_flushes_without_changing_wakeups() {
-        // Same probe workload as the native batching test: 16 split-phase
-        // probes suspend on unwritten elements, one producer task wakes
-        // them all. Batch 16 must deliver the same wakeups in fewer
-        // flushes, with identical results.
-        let src = r#"
-            def main(n) {
-                a = array(n);
-                for i = 0 to n - 1 { a[i] = i * 3; }
-                return probe(a, 0) + (probe(a, 1) + (probe(a, 2) + (probe(a, 3)
-                     + (probe(a, 4) + (probe(a, 5) + (probe(a, 6) + (probe(a, 7)
-                     + (probe(a, 8) + (probe(a, 9) + (probe(a, 10) + (probe(a, 11)
-                     + (probe(a, 12) + (probe(a, 13) + (probe(a, 14) + probe(a, 15)
-                     ))))))))))))));
-            }
-            def probe(a, i) { return a[i] + 1; }
-        "#;
-        let program = compile(src).unwrap();
-        let expected = (0..16).map(|i| i * 3 + 1).sum::<i64>();
-        let stats_for = |batch: usize| {
-            let mut opts = RunOptions::with_pes(1);
-            opts.delivery_batch = batch;
-            let outcome = AsyncCoopEngine
-                .run(&program, &[Value::Int(16)], &opts)
-                .unwrap();
-            assert_eq!(
-                outcome.return_value,
-                Some(Value::Int(expected)),
-                "batch={batch}"
-            );
-            async_stats(&outcome)
-        };
-        let unbatched = stats_for(1);
-        let batched = stats_for(16);
-        assert_eq!(
-            unbatched.wakeups, batched.wakeups,
-            "batching must not change how many wakers fire"
-        );
-        assert!(
-            unbatched.wakeups >= 32,
-            "expected 16 deferred reads + 16 returns, got {}",
-            unbatched.wakeups
-        );
-        assert!(
-            batched.wakeup_flushes + 8 <= unbatched.wakeup_flushes,
-            "batch=16 should need fewer flushes: {} vs {}",
-            batched.wakeup_flushes,
-            unbatched.wakeup_flushes
-        );
-    }
-
-    #[test]
-    fn worker_arena_recycles_task_frames() {
-        // Mirror of the native arena test: one probe task per iteration,
-        // sequentially — after the first frame is recycled every later
-        // spawn reuses it, so reuse grows with n.
-        let src = r#"
-            def main(n) {
-                a = array(n);
-                s = array(n);
-                for i = 0 to n - 1 { a[i] = i * 3; }
-                for i = 0 to n - 1 { s[i] = probe(a, i); }
-                return s;
-            }
-            def probe(a, i) { return a[i] + 1; }
-        "#;
-        let program = compile(src).unwrap();
-        let mut opts = RunOptions::with_pes(1);
-        opts.delivery_batch = 16;
-        let outcome = AsyncCoopEngine
-            .run(&program, &[Value::Int(64)], &opts)
-            .unwrap();
-        let stats = async_stats(&outcome);
-        assert!(
-            stats.arena_reuses > 32,
-            "expected recycled task frames, got {} (instances {})",
-            stats.arena_reuses,
-            stats.instances
-        );
+    crate::engine::pool::strategy_tests! {
+        Waker;
+        scalar_and_function_calls => scalar_and_function_calls,
+        distributed_fill_is_complete_on_any_worker_count => distributed_fill_is_complete,
+        consumers_suspend_until_producers_write_and_counters_balance => consumers_wait_for_producers,
+        carried_recurrence_is_computed_correctly => carried_recurrence,
+        single_assignment_violation_is_a_runtime_error => single_assignment_violation,
+        reading_a_never_written_element_is_detected_as_deadlock => never_written_read_deadlocks,
+        poll_limit_aborts_runaway_runs => task_limit_aborts_runaway_runs,
+        out_of_bounds_store_is_reported => out_of_bounds_store_is_reported,
+        one_executor_runs_many_jobs_with_disjoint_state => one_pool_runs_many_jobs,
+        a_failing_job_does_not_poison_the_executor => a_failing_job_does_not_poison_the_pool,
+        batched_waker_delivery_coalesces_flushes_without_changing_wakeups => batched_delivery_coalesces_flushes,
+        worker_arena_recycles_task_frames => worker_arena_recycles_frames,
     }
 }

@@ -1,59 +1,28 @@
 //! The resumable SP instance: a futures-style task with a waker protocol.
 //!
-//! Where the native engine registers a parked instance in a *job-global*
-//! blocked registry (one scheduler mutex, one mailbox map), a cooperative
-//! task carries its whole suspension state in itself: the saved frame, the
-//! slot it awaits, and a small per-task mutex. The waiter tag registered
-//! with the I-structure store *is* the waker — an `Arc` of the task plus
-//! the destination slot — so a write re-activates a suspended instance by
-//! locking only that one task, never a central scheduler structure. This is
-//! exactly the `Waker` half of Rust's `Future` contract, specialised to SP
-//! instances: `deliver` is `wake_by_ref`, `try_suspend` is returning
-//! `Poll::Pending` after re-checking for a wake that raced the suspension.
+//! A task carries its whole suspension state in itself: the saved frame,
+//! the slot it awaits, and a small per-task mutex. The waiter tag
+//! registered with the I-structure store *is* the waker — an `Arc` of the
+//! task plus the destination slot — so a write re-activates a suspended
+//! instance by locking only that one task. This is the `Waker` half of
+//! Rust's `Future` contract, specialised to SP instances: `deliver` is
+//! `wake_by_ref`, `try_suspend` is returning `Poll::Pending` after
+//! re-checking for a wake that raced the suspension.
 
+use crate::engine::pool::{Frame, InstMeta};
 use pods_istructure::Value;
-use pods_machine::InstanceId;
-use pods_sp::{SlotId, SpId};
+use pods_sp::SlotId;
 use std::sync::{Arc, Mutex};
 
 /// The waiter tag the async engine registers with the shared I-structure
 /// store: a waker. When the producing write lands, the store hands this tag
 /// back and the writer delivers the value straight into the task.
+#[derive(Clone)]
 pub(crate) struct AsyncWaiter {
     /// The task awaiting the value.
     pub task: Arc<TaskHandle>,
     /// The frame slot the value is destined for.
     pub slot: SlotId,
-}
-
-/// The saved execution state of a suspended (or queued) task: everything a
-/// worker needs to resume the SP instance where it left off.
-#[derive(Debug)]
-pub(crate) struct Frame {
-    pub pc: usize,
-    pub slots: Vec<Option<Value>>,
-}
-
-impl Frame {
-    pub(crate) fn slot(&self, slot: SlotId) -> Option<Value> {
-        self.slots.get(slot.index()).copied().flatten()
-    }
-
-    pub(crate) fn is_present(&self, slot: SlotId) -> bool {
-        self.slot(slot).is_some()
-    }
-
-    pub(crate) fn set_slot(&mut self, slot: SlotId, value: Value) {
-        if slot.index() < self.slots.len() {
-            self.slots[slot.index()] = Some(value);
-        }
-    }
-
-    pub(crate) fn clear_slot(&mut self, slot: SlotId) {
-        if slot.index() < self.slots.len() {
-            self.slots[slot.index()] = None;
-        }
-    }
 }
 
 /// Where a task is in its lifecycle. Transitions:
@@ -78,7 +47,7 @@ struct TaskCore {
     frame: Option<Frame>,
     phase: Phase,
     /// Values that arrived while the frame was checked out (the per-task
-    /// analogue of the native engine's job-global mailbox). Drained into
+    /// analogue of the registry strategy's job-global mailbox). Drained into
     /// the frame at resume and at suspension, so a wake that races the
     /// suspension is never lost.
     pending: Vec<(SlotId, Value)>,
@@ -90,33 +59,19 @@ struct TaskCore {
 /// job or pool, so dropping a job's store releases every task suspended on
 /// it with no reference cycle.
 pub(crate) struct TaskHandle {
-    pub id: InstanceId,
-    pub template: SpId,
-    /// The virtual PE this instance runs as (drives Range Filters).
-    pub pe: usize,
-    /// Waker for the function-return value, if this is a call.
-    pub return_to: Option<(Arc<TaskHandle>, SlotId)>,
+    pub meta: InstMeta<AsyncWaiter>,
     core: Mutex<TaskCore>,
 }
 
 impl TaskHandle {
-    /// A fresh task, queued, over a ready-made frame vector (arguments
-    /// already in the parameter slots — the executor builds frames through
-    /// its per-worker arena so finished frames are recycled).
-    pub(crate) fn new(
-        id: InstanceId,
-        template: SpId,
-        pe: usize,
-        slots: Vec<Option<Value>>,
-        return_to: Option<(Arc<TaskHandle>, SlotId)>,
-    ) -> TaskHandle {
+    /// A fresh task, queued, over a ready-made frame (arguments already in
+    /// the parameter slots — the pool builds frames through its per-worker
+    /// arena so finished frames are recycled).
+    pub(crate) fn new(meta: InstMeta<AsyncWaiter>, frame: Frame) -> TaskHandle {
         TaskHandle {
-            id,
-            template,
-            pe,
-            return_to,
+            meta,
             core: Mutex::new(TaskCore {
-                frame: Some(Frame { pc: 0, slots }),
+                frame: Some(frame),
                 phase: Phase::Queued,
                 pending: Vec::new(),
             }),
@@ -171,7 +126,7 @@ impl TaskHandle {
     /// Attempts to suspend the running task on `awaited`. Pending
     /// deliveries are drained first; if one of them filled the awaited slot
     /// the frame is handed straight back (`Some`) and the task keeps
-    /// running — the cooperative analogue of the native engine's
+    /// running — the analogue of the registry strategy's
     /// park-then-mailbox re-check, closing the race where the producing
     /// write lands between the firing-rule miss and the suspension.
     pub(crate) fn try_suspend(&self, mut frame: Frame, awaited: SlotId) -> Option<Frame> {
@@ -200,9 +155,9 @@ impl TaskHandle {
 impl std::fmt::Debug for TaskHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskHandle")
-            .field("id", &self.id)
-            .field("template", &self.template)
-            .field("pe", &self.pe)
+            .field("id", &self.meta.id)
+            .field("template", &self.meta.template)
+            .field("pe", &self.meta.pe)
             .finish()
     }
 }
@@ -210,11 +165,19 @@ impl std::fmt::Debug for TaskHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pods_machine::InstanceId;
+    use pods_sp::SpId;
 
     fn task() -> Arc<TaskHandle> {
         let mut slots = vec![None; 4];
         slots[0] = Some(Value::Int(1));
-        Arc::new(TaskHandle::new(InstanceId(7), SpId(0), 0, slots, None))
+        let meta = InstMeta {
+            id: InstanceId(7),
+            template: SpId(0),
+            pe: 0,
+            return_to: None,
+        };
+        Arc::new(TaskHandle::new(meta, Frame { pc: 0, slots }))
     }
 
     #[test]

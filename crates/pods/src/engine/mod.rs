@@ -21,13 +21,13 @@
 //!   (`pods_baseline::PrModel`) driven by a sequential profile.
 //! * [`NativeParallelEngine`] — executes the partitioned SP program on a
 //!   real work-stealing thread pool with a thread-safe I-structure store,
-//!   reporting *wall-clock* time on N OS threads.
-//! * [`AsyncCoopEngine`] — the same partitioned program on a cooperative
-//!   executor: instances are futures-style resumable state machines,
-//!   suspended reads register *wakers* with the I-structure store, and a
-//!   per-worker run-queue scheduler with work stealing over tasks resumes
-//!   them — the scheduling-overhead comparison the paper's evaluation is
-//!   about.
+//!   reporting *wall-clock* time on N OS threads; blocked instances park in
+//!   a job-global registry.
+//! * [`AsyncCoopEngine`] — the same pool with futures-style suspension:
+//!   each instance is a task, and suspended reads register *wakers* with
+//!   the I-structure store. The two pooled engines share one scheduler
+//!   (`pool`) and differ only in how a blocked instance parks and wakes —
+//!   the scheduling-overhead comparison the paper's evaluation is about.
 //!
 //! Engine selection is *typed*: [`EngineKind`] is the enum of the five
 //! engines, parses every historical name and alias (`FromStr`), and maps to
@@ -53,19 +53,25 @@
 
 mod async_coop;
 mod native;
+mod pool;
 mod pr;
 mod seq;
 mod sim;
 
-pub(crate) use async_coop::{AsyncCanceller, AsyncJobHandle, AsyncPool};
-pub use async_coop::{AsyncCoopEngine, AsyncStats};
-pub(crate) use native::{
-    build_read_slots, JobSpec, NativeCanceller, NativeJobHandle, NativePool, ReadSlots,
+pub use async_coop::AsyncCoopEngine;
+pub(crate) use async_coop::Waker;
+pub use native::NativeParallelEngine;
+pub(crate) use native::Registry;
+pub use pool::PoolStats;
+pub(crate) use pool::{
+    build_read_slots, cancellation_error, JobSpec, Pool, PoolCanceller, PoolHandle, ReadSlots,
 };
-pub use native::{NativeParallelEngine, NativeStats};
 pub use pr::PrEstimateEngine;
 pub use seq::SequentialEngine;
 pub use sim::SimEngine;
+
+/// The pool's counters under the name the native engine has always used.
+pub type NativeStats = PoolStats;
 
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
@@ -127,15 +133,15 @@ pub enum EngineStats {
     },
     /// Native thread-pool statistics plus the partitioning decisions.
     Native {
-        /// Worker/instance/steal counters from the pool.
-        stats: NativeStats,
+        /// Worker/instance/park/steal counters from the pool.
+        stats: PoolStats,
         /// The partitioner's per-loop decisions.
         partition: PartitionReport,
     },
     /// Cooperative-executor statistics plus the partitioning decisions.
     AsyncCoop {
-        /// Poll/suspension/resumption/steal counters from the executor.
-        stats: AsyncStats,
+        /// Worker/instance/park/steal counters from the pool.
+        stats: PoolStats,
         /// The partitioner's per-loop decisions.
         partition: PartitionReport,
     },
@@ -200,8 +206,9 @@ impl EngineOutcome {
     /// pool to measure.
     pub fn iterations_per_instance(&self) -> Option<f64> {
         match &self.stats {
-            EngineStats::Native { stats, .. } => Some(stats.iterations_per_instance()),
-            EngineStats::AsyncCoop { stats, .. } => Some(stats.iterations_per_instance()),
+            EngineStats::Native { stats, .. } | EngineStats::AsyncCoop { stats, .. } => {
+                Some(stats.iterations_per_instance())
+            }
             _ => None,
         }
     }
@@ -225,8 +232,8 @@ impl EngineOutcome {
 
 impl EngineStats {
     /// A one-line human summary of the engine's counters, uniform across
-    /// engines: the pooled engines defer to [`NativeStats`]/[`AsyncStats`]
-    /// `Display`, the modelled engines report their headline numbers.
+    /// engines: the pooled engines defer to [`PoolStats`]'s `Display`, the
+    /// modelled engines report their headline numbers.
     pub fn summary(&self) -> String {
         match self {
             EngineStats::Simulated { stats, .. } => format!(
@@ -241,8 +248,8 @@ impl EngineStats {
                 "pr: {:.0}µs estimated on {} PE(s), speed-up {:.2}",
                 point.elapsed_us, point.pes, point.speedup
             ),
-            EngineStats::Native { stats, .. } => stats.to_string(),
-            EngineStats::AsyncCoop { stats, .. } => stats.to_string(),
+            EngineStats::Native { stats, .. } => format!("native: {stats}"),
+            EngineStats::AsyncCoop { stats, .. } => format!("async: {stats}"),
         }
     }
 }
@@ -394,103 +401,6 @@ impl std::fmt::Display for EngineKind {
 /// [`PodsError::UnknownEngine`].
 pub fn engine_by_name(name: &str) -> Option<&'static dyn Engine> {
     Some(EngineKind::parse(name)?.engine())
-}
-
-/// Per-task memo of array directory lookups, shared by both pooled
-/// engines (generic over the store's waiter tag type).
-///
-/// Going through the store's sharded directory (plus an `Arc` refcount
-/// bump) for every element access costs two shared-cache-line touches;
-/// loop instances touch the same few arrays thousands of times, so one
-/// lookup per task execution amortises to nothing. The cache lives on the
-/// worker's stack for the duration of one task/poll and is simply rebuilt
-/// after a park or suspension.
-#[derive(Debug)]
-pub(crate) struct ArrayCache<T> {
-    entries: Vec<(
-        pods_istructure::ArrayId,
-        std::sync::Arc<pods_istructure::SharedArray<T>>,
-    )>,
-}
-
-impl<T> Default for ArrayCache<T> {
-    fn default() -> Self {
-        ArrayCache {
-            entries: Vec::new(),
-        }
-    }
-}
-
-impl<T> ArrayCache<T> {
-    pub(crate) fn get(
-        &mut self,
-        store: &pods_istructure::SharedArrayStore<T>,
-        id: pods_istructure::ArrayId,
-    ) -> Result<&pods_istructure::SharedArray<T>, String> {
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == id) {
-            return Ok(&self.entries[i].1);
-        }
-        let shared = store.require(id).map_err(|e| e.to_string())?;
-        self.entries.push((id, shared));
-        Ok(&self.entries.last().expect("just pushed").1)
-    }
-}
-
-/// Upper bound on recycled frames a worker keeps around, so a spike of tiny
-/// instances cannot pin memory forever. Shared by both pooled engines.
-const ARENA_MAX_FREE: usize = 256;
-
-/// Per-worker free-list of instance frames (operand-slot vectors), shared
-/// by both pooled engines. Loop bodies spawn one instance per iteration;
-/// recycling the frame of every finished instance turns that allocator
-/// traffic into a pop/push on a thread-local vector — and keeps the two
-/// schedulers' allocator costs symmetric, so `async_vs_native` timings
-/// measure scheduling, not allocation.
-#[derive(Default)]
-pub(crate) struct InstanceArena {
-    free: Vec<Vec<Option<Value>>>,
-}
-
-impl InstanceArena {
-    /// A frame of `num_slots` cleared slots with `args` copied into the
-    /// parameter positions. Returns `true` when the frame was recycled.
-    pub(crate) fn frame(&mut self, num_slots: usize, args: &[Value]) -> (Vec<Option<Value>>, bool) {
-        let (mut slots, reused) = match self.free.pop() {
-            Some(v) => (v, true),
-            None => (Vec::with_capacity(num_slots), false),
-        };
-        slots.clear();
-        slots.resize(num_slots, None);
-        for (i, v) in args.iter().take(num_slots).enumerate() {
-            slots[i] = Some(*v);
-        }
-        (slots, reused)
-    }
-
-    pub(crate) fn recycle(&mut self, slots: Vec<Option<Value>>) {
-        if self.free.len() < ARENA_MAX_FREE {
-            self.free.push(slots);
-        }
-    }
-}
-
-/// Per-job liveness accounting shared by both pooled engines. `live`
-/// counts existing instances (queued, running, or parked/suspended);
-/// `in_flight` counts queued-or-running tasks. When `in_flight` hits zero
-/// with instances still live, no future delivery can wake them: the job is
-/// deadlocked.
-#[derive(Default)]
-pub(crate) struct JobCounts {
-    pub(crate) live: usize,
-    pub(crate) in_flight: usize,
-}
-
-/// The error every job cut short by pool teardown reports (both pooled
-/// engines use the same wording; tests match on "cancelled").
-pub(crate) fn cancellation_error() -> pods_machine::SimulationError {
-    pods_machine::SimulationError::Runtime(
-        "job cancelled: its runtime was dropped before the job completed".into(),
-    )
 }
 
 /// Shared argument validation used by every engine.

@@ -64,8 +64,9 @@ mod service;
 pub mod trace;
 
 pub use engine::{
-    engine_by_name, AsyncCoopEngine, AsyncStats, Engine, EngineKind, EngineOutcome, EngineStats,
-    NativeParallelEngine, NativeStats, PrEstimateEngine, SequentialEngine, SimEngine, ENGINE_NAMES,
+    engine_by_name, AsyncCoopEngine, Engine, EngineKind, EngineOutcome, EngineStats,
+    NativeParallelEngine, NativeStats, PoolStats, PrEstimateEngine, SequentialEngine, SimEngine,
+    ENGINE_NAMES,
 };
 pub use error::PodsError;
 pub use pipeline::{

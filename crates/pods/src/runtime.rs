@@ -57,14 +57,14 @@
 //! match the preparing runtime's.
 
 use crate::engine::{
-    build_read_slots, check_invocation, AsyncPool, EngineKind, EngineOutcome, EngineStats, JobSpec,
-    NativePool, ReadSlots, SimEngine,
+    build_read_slots, check_invocation, EngineKind, EngineOutcome, EngineStats, JobSpec, Pool,
+    PoolHandle, ReadSlots, Registry, SimEngine, Waker,
 };
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
 use crate::service::metrics::MetricsRegistry;
 use crate::service::queue::{CancelKind, Ticket};
-use crate::service::{Admission, ClientId, JobService, PoolHandle, ServiceInner, ServiceMetrics};
+use crate::service::{Admission, ClientId, JobService, ServiceInner, ServiceMetrics};
 use crate::trace::{JobTrace, TraceConfig, TraceEventKind, TraceHandle, TraceRecorder};
 use pods_istructure::Value;
 use pods_partition::{ChunkPolicy, PartitionConfig, PartitionReport};
@@ -268,8 +268,8 @@ impl RuntimeBuilder {
     /// immediately, so the first `run` is already warm.
     pub fn build(self) -> Runtime {
         let backend = Arc::new(match self.kind {
-            EngineKind::Native => Backend::Native(NativePool::new(self.opts.num_pes)),
-            EngineKind::AsyncCoop => Backend::Async(AsyncPool::new(self.opts.num_pes)),
+            EngineKind::Native => Backend::Native(Pool::new(self.opts.num_pes)),
+            EngineKind::AsyncCoop => Backend::Async(Pool::new(self.opts.num_pes)),
             _ => Backend::Modelled,
         });
         let metrics = Arc::new(MetricsRegistry::new(self.admission_capacity));
@@ -353,18 +353,18 @@ pub(crate) enum Backend {
     /// The modelled engines (`sim`, `seq`, `pr`) run eagerly on the
     /// calling thread; there is nothing to keep warm.
     Modelled,
-    /// The native work-stealing thread pool (parked-instance scheduling).
-    Native(NativePool),
-    /// The cooperative executor (futures-style task suspension).
-    Async(AsyncPool),
+    /// The work-stealing pool with registry suspension (`native`).
+    Native(Pool<Registry>),
+    /// The work-stealing pool with waker suspension (`async`).
+    Async(Pool<Waker>),
 }
 
 impl Backend {
     /// Hands one job to the pooled backend (dispatcher-only path).
     pub(crate) fn submit_pooled(&self, spec: JobSpec, args: &[Value]) -> PoolHandle {
         match self {
-            Backend::Native(pool) => PoolHandle::Native(pool.submit(spec, args)),
-            Backend::Async(pool) => PoolHandle::Async(pool.submit(spec, args)),
+            Backend::Native(pool) => pool.submit(spec, args),
+            Backend::Async(pool) => pool.submit(spec, args),
             Backend::Modelled => unreachable!("modelled backends take no pooled jobs"),
         }
     }
@@ -414,10 +414,8 @@ impl Runtime {
         self.opts.num_pes
     }
 
-    /// Process-unique identity of the worker pool (native) or cooperative
-    /// executor (async), if this runtime owns one — compare against
-    /// [`crate::NativeStats::pool_id`] / [`crate::AsyncStats::pool_id`] to
-    /// verify reuse.
+    /// Process-unique identity of the worker pool, if this runtime owns one
+    /// — compare against [`crate::PoolStats::pool_id`] to verify reuse.
     pub fn pool_id(&self) -> Option<u64> {
         match &*self.backend {
             Backend::Modelled => None,
@@ -1108,7 +1106,7 @@ mod tests {
     use crate::engine::EngineStats;
     use crate::pipeline::compile;
 
-    fn native_stats(outcome: &EngineOutcome) -> crate::engine::NativeStats {
+    fn native_stats(outcome: &EngineOutcome) -> crate::engine::PoolStats {
         match &outcome.stats {
             EngineStats::Native { stats, .. } => *stats,
             other => panic!("expected native stats, got {other:?}"),

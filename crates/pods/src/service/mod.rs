@@ -38,10 +38,7 @@ pub(crate) mod queue;
 pub use fairness::ClientId;
 pub use metrics::ServiceMetrics;
 
-use crate::engine::{
-    cancellation_error, AsyncCanceller, AsyncJobHandle, EngineOutcome, NativeCanceller,
-    NativeJobHandle,
-};
+use crate::engine::{cancellation_error, PoolCanceller};
 use crate::error::PodsError;
 use crate::pipeline::RunOptions;
 use crate::runtime::Backend;
@@ -65,58 +62,6 @@ fn user_cancel_error() -> SimulationError {
 /// (mapped to [`PodsError::DeadlineExceeded`] at `wait`).
 fn deadline_cancel_error() -> SimulationError {
     SimulationError::Runtime("job cancelled: deadline exceeded".into())
-}
-
-/// A job in flight on either pooled backend.
-pub(crate) enum PoolHandle {
-    Native(NativeJobHandle),
-    Async(AsyncJobHandle),
-}
-
-impl PoolHandle {
-    pub(crate) fn is_done(&self) -> bool {
-        match self {
-            PoolHandle::Native(h) => h.is_done(),
-            PoolHandle::Async(h) => h.is_done(),
-        }
-    }
-
-    pub(crate) fn canceller(&self) -> PoolCanceller {
-        match self {
-            PoolHandle::Native(h) => PoolCanceller::Native(h.canceller()),
-            PoolHandle::Async(h) => PoolCanceller::Async(h.canceller()),
-        }
-    }
-
-    pub(crate) fn wait(self) -> Result<EngineOutcome, PodsError> {
-        match self {
-            PoolHandle::Native(h) => h.wait(),
-            PoolHandle::Async(h) => h.wait(),
-        }
-    }
-}
-
-/// A detachable cancel token for a job on either pooled backend.
-#[derive(Clone)]
-pub(crate) enum PoolCanceller {
-    Native(NativeCanceller),
-    Async(AsyncCanceller),
-}
-
-impl PoolCanceller {
-    fn is_done(&self) -> bool {
-        match self {
-            PoolCanceller::Native(c) => c.is_done(),
-            PoolCanceller::Async(c) => c.is_done(),
-        }
-    }
-
-    fn cancel(&self, err: SimulationError) {
-        match self {
-            PoolCanceller::Native(c) => c.cancel(err),
-            PoolCanceller::Async(c) => c.cancel(err),
-        }
-    }
 }
 
 /// How a submission behaves when the admission queue is full.

@@ -149,9 +149,9 @@ fn main() -> Result<(), pods::PodsError> {
         unreachable!("async runtime reports async stats");
     };
     println!(
-        "async runtime (pool {}): {} suspensions / {} resumptions, {:.3} ms wall-clock",
+        "async runtime (pool {}): {} parks / {} resumptions, {:.3} ms wall-clock",
         stats.pool_id,
-        stats.suspensions,
+        stats.parks,
         stats.resumptions,
         outcome.wall_us / 1000.0
     );

@@ -4,8 +4,8 @@
 //! warm pool over cold `run_on` calls.
 
 use pods::{
-    AsyncStats, CompiledProgram, EngineKind, EngineOutcome, EngineStats, NativeStats,
-    PartitionConfig, RunOptions, Runtime, Value,
+    CompiledProgram, EngineKind, EngineOutcome, EngineStats, NativeStats, PartitionConfig,
+    PoolStats, RunOptions, Runtime, Value,
 };
 
 fn native_stats(outcome: &EngineOutcome) -> NativeStats {
@@ -15,7 +15,7 @@ fn native_stats(outcome: &EngineOutcome) -> NativeStats {
     }
 }
 
-fn async_stats(outcome: &EngineOutcome) -> AsyncStats {
+fn async_stats(outcome: &EngineOutcome) -> PoolStats {
     match &outcome.stats {
         EngineStats::AsyncCoop { stats, .. } => *stats,
         other => panic!("expected async stats, got {other:?}"),
@@ -823,9 +823,9 @@ fn async_runtime_reuses_one_executor_and_matches_oracle() {
     assert_eq!((s1.job_seq, s2.job_seq), (1, 2));
     // The recurrence chains element reads, so instances must actually have
     // suspended — and on a completed run every suspension was resumed.
-    assert!(s1.suspensions > 0, "recurrence must suspend instances");
-    assert_eq!(s1.suspensions, s1.resumptions);
-    assert!(s1.polls >= s1.instances + s1.resumptions);
+    assert!(s1.parks > 0, "recurrence must suspend instances");
+    assert_eq!(s1.parks, s1.resumptions);
+    assert!(s1.tasks >= s1.instances + s1.resumptions);
 }
 
 #[test]
@@ -852,7 +852,7 @@ fn huge_async_delivery_batches_never_strand_a_waker() {
         assert_matches_oracle(&format!("async {name} with huge batch"), &outcome, &oracle);
         let stats = async_stats(&outcome);
         assert_eq!(
-            stats.suspensions, stats.resumptions,
+            stats.parks, stats.resumptions,
             "async {name}: a waker was stranded"
         );
     }
