@@ -1,10 +1,12 @@
-//! Engine comparison: SimEngine vs NativeParallelEngine wall-clock on the
-//! FILL and SIMPLE workloads at 1/2/4/8 workers, through the shared
-//! `Engine` trait — plus three warm-path groups:
+//! Engine comparison: the `sim` vs `native` engines' wall-clock on the
+//! FILL and SIMPLE workloads at 1/2/4/8 workers, each run on a fresh
+//! `pods::Runtime` (a cold run: the native pool is spawned and joined per
+//! run) — plus warm-path groups:
 //!
 //! * `runtime_reuse` — a persistent `pods::Runtime` (one warm worker pool
-//!   across N back-to-back runs) vs N cold `run_on` calls (a fresh pool
-//!   spawned and joined per run);
+//!   across N back-to-back runs) vs N cold runs, each on a fresh runtime (a
+//!   fresh pool spawned and joined per run; the row keeps its historical
+//!   `cold-run_on` label);
 //! * `prepared_reuse` — warm runs submitting a `PreparedProgram` handle
 //!   (clone/partition/read-slot tables amortised to one `prepare`) vs warm
 //!   runs on a cache-disabled runtime that re-prepares every submission
@@ -107,7 +109,7 @@ fn fine_fill_source() -> String {
 }
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const ENGINES: [&str; 2] = ["sim", "native"];
+const ENGINES: [EngineKind; 2] = [EngineKind::Sim, EngineKind::Native];
 
 fn bench_engines(c: &mut Criterion) {
     let host_parallelism = std::thread::available_parallelism()
@@ -133,14 +135,14 @@ fn bench_engines(c: &mut Criterion) {
                 // timing every configuration a second time.
                 let mut mean_us = 0.0;
                 group.bench_with_input(
-                    BenchmarkId::new(engine, workers),
+                    BenchmarkId::new(engine.name(), workers),
                     &workers,
                     |b, &workers| {
                         let mut opts = RunOptions::with_pes(workers);
                         opts.partition.chunk = env_chunk;
                         b.iter(|| {
-                            program
-                                .run_on(engine, &[Value::Int(n)], &opts)
+                            Runtime::with_options(engine, opts.clone())
+                                .run(&program, &[Value::Int(n)])
                                 .expect("bench run")
                         });
                         mean_us = b.mean_ns / 1e3;
@@ -159,7 +161,7 @@ fn bench_engines(c: &mut Criterion) {
     }
 
     // runtime_reuse: N back-to-back native runs of one workload, warm
-    // (one persistent Runtime, pool reused) vs cold (one run_on call per
+    // (one persistent Runtime, pool reused) vs cold (a fresh Runtime per
     // run, each spawning and joining its own pool). Reported per run so
     // the numbers are comparable with the engine points above.
     const REUSE_RUNS: usize = 8;
@@ -190,8 +192,8 @@ fn bench_engines(c: &mut Criterion) {
                         opts.partition.chunk = env_chunk;
                         b.iter(|| {
                             for _ in 0..REUSE_RUNS {
-                                program
-                                    .run_on("native", &[Value::Int(n)], &opts)
+                                Runtime::with_options(EngineKind::Native, opts.clone())
+                                    .run(&program, &[Value::Int(n)])
                                     .expect("bench run");
                             }
                         });

@@ -1,7 +1,7 @@
 //! Figure 9 of the paper: Execution-Unit utilization for SIMPLE at 16x16,
 //! 32x32, and 64x64 as the number of PEs grows.
 
-use pods::Unit;
+use pods::EngineKind;
 
 fn main() {
     let program = pods_bench::compile_simple();
@@ -16,8 +16,8 @@ fn main() {
     let mut rows = vec![vec![0.0f64; sizes.len()]; pes.len()];
     for (col, &n) in sizes.iter().enumerate() {
         for (row, &p) in pes.iter().enumerate() {
-            let outcome = pods_bench::run_simple(&program, n, p);
-            rows[row][col] = outcome.result.stats.utilization(Unit::Execution);
+            let outcome = pods_bench::run_simple(EngineKind::Sim, &program, n, p);
+            rows[row][col] = outcome.eu_utilization().expect("simulated run");
         }
     }
     for (row, &p) in pes.iter().enumerate() {

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pods::{CompiledProgram, EngineKind, EngineOutcome, RunOptions, Value};
+use pods::{CompiledProgram, EngineKind, EngineOutcome, RunOptions, Runtime, Value};
 
 /// Mesh sizes used by the SIMPLE experiments. Honours the
 /// `PODS_MESH_SIZES` environment variable (comma-separated) so slow machines
@@ -45,19 +45,6 @@ pub fn compile_simple() -> CompiledProgram {
     pods::compile(pods_workloads::simple::SIMPLE).expect("SIMPLE compiles")
 }
 
-/// Runs SIMPLE on the given mesh size and PE count with paper-default
-/// options.
-///
-/// # Panics
-///
-/// Panics if the simulation fails; the harness treats that as a fatal
-/// reproduction error.
-pub fn run_simple(program: &CompiledProgram, n: usize, pes: usize) -> pods::RunOutcome {
-    program
-        .run(&[Value::Int(n as i64)], &RunOptions::with_pes(pes))
-        .unwrap_or_else(|e| panic!("SIMPLE {n}x{n} on {pes} PEs failed: {e}"))
-}
-
 /// The engine the harness binaries should use, from the `PODS_ENGINE`
 /// environment variable (default: the machine simulator). This lets every
 /// figure binary re-run its experiment on the native thread-pool engine
@@ -73,21 +60,22 @@ pub fn engine_kind() -> EngineKind {
     EngineKind::from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Runs SIMPLE on the named engine.
+/// Runs SIMPLE on the given engine, mesh size and PE count with
+/// paper-default options, on a fresh [`Runtime`].
 ///
 /// # Panics
 ///
 /// Panics if the run fails; the harness treats that as a fatal reproduction
 /// error.
-pub fn run_simple_on(
-    engine: &str,
+pub fn run_simple(
+    kind: EngineKind,
     program: &CompiledProgram,
     n: usize,
     pes: usize,
 ) -> EngineOutcome {
-    program
-        .run_on(engine, &[Value::Int(n as i64)], &RunOptions::with_pes(pes))
-        .unwrap_or_else(|e| panic!("SIMPLE {n}x{n} on {pes} PEs (engine {engine}) failed: {e}"))
+    Runtime::with_options(kind, RunOptions::with_pes(pes))
+        .run(program, &[Value::Int(n as i64)])
+        .unwrap_or_else(|e| panic!("SIMPLE {n}x{n} on {pes} PEs (engine {kind}) failed: {e}"))
 }
 
 #[cfg(test)]
@@ -108,8 +96,8 @@ mod tests {
     #[test]
     fn simple_compiles_and_runs_small() {
         let program = compile_simple();
-        let outcome = run_simple(&program, 8, 2);
-        assert!(outcome.result.array("s").unwrap().is_complete());
+        let outcome = run_simple(EngineKind::Sim, &program, 8, 2);
+        assert!(outcome.array("s").unwrap().is_complete());
     }
 
     #[test]
@@ -118,7 +106,7 @@ mod tests {
             assert_eq!(engine_kind(), EngineKind::Sim);
         }
         let program = compile_simple();
-        let outcome = run_simple_on("native", &program, 8, 2);
+        let outcome = run_simple(EngineKind::Native, &program, 8, 2);
         assert!(outcome.array("s").unwrap().is_complete());
     }
 }

@@ -11,46 +11,14 @@
 
 mod task;
 
-use super::pool::{self, Frame, InstMeta, PoolStats, Suspension};
-use super::{Engine, EngineOutcome, EngineStats};
-use crate::error::PodsError;
-use crate::pipeline::{CompiledProgram, RunOptions};
+use super::pool::{Frame, InstMeta, PoolStats, Suspension};
+use super::EngineStats;
 use pods_istructure::Value;
 use pods_machine::InstanceId;
 use pods_partition::PartitionReport;
 use pods_sp::SlotId;
 use std::sync::Arc;
 use task::{AsyncWaiter, TaskHandle};
-
-/// Executes the partitioned SP program on a cooperative executor with
-/// `opts.num_pes` worker threads: suspended instances are resumed by
-/// I-structure wakers instead of a parked-instance registry. Reports
-/// wall-clock time — the only honest clock for native execution.
-///
-/// This is the *cold* path: every `run` spins up a fresh executor and
-/// tears it down afterwards. To reuse one executor across many runs, use
-/// [`crate::Runtime`] with [`crate::EngineKind::AsyncCoop`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AsyncCoopEngine;
-
-impl Engine for AsyncCoopEngine {
-    fn name(&self) -> &'static str {
-        Waker::NAME
-    }
-
-    fn description(&self) -> &'static str {
-        "cooperative executor: futures-style instance suspension with I-structure wakers (wall-clock time on N threads)"
-    }
-
-    fn run(
-        &self,
-        program: &CompiledProgram,
-        args: &[Value],
-        opts: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError> {
-        pool::run_cold::<Waker>(program, args, opts)
-    }
-}
 
 /// The waker suspension strategy (see the module docs).
 pub(crate) struct Waker;

@@ -9,46 +9,14 @@
 //! target drains when it next tries to park. Frames move by value between
 //! the run queues, the worker, and the blocked map.
 
-use super::pool::{self, Frame, InstMeta, PoolStats, Suspension};
-use super::{Engine, EngineOutcome, EngineStats};
-use crate::error::PodsError;
-use crate::pipeline::{CompiledProgram, RunOptions};
+use super::pool::{Frame, InstMeta, PoolStats, Suspension};
+use super::EngineStats;
 use pods_istructure::Value;
 use pods_machine::InstanceId;
 use pods_partition::PartitionReport;
 use pods_sp::SlotId;
 use std::collections::HashMap;
 use std::sync::Mutex;
-
-/// Executes the partitioned SP program on a real work-stealing thread pool
-/// with `opts.num_pes` workers. Reports wall-clock time — the only honest
-/// clock for native execution.
-///
-/// This is the *cold* path: every `run` spins up a fresh pool and tears it
-/// down afterwards. To reuse one pool across many runs (amortising thread
-/// spawn and warm-up, the whole point of iteration-level parallelism), use
-/// [`crate::Runtime`] with [`crate::EngineKind::Native`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NativeParallelEngine;
-
-impl Engine for NativeParallelEngine {
-    fn name(&self) -> &'static str {
-        Registry::NAME
-    }
-
-    fn description(&self) -> &'static str {
-        "work-stealing thread pool over the shared I-structure store (wall-clock time on N threads)"
-    }
-
-    fn run(
-        &self,
-        program: &CompiledProgram,
-        args: &[Value],
-        opts: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError> {
-        pool::run_cold::<Registry>(program, args, opts)
-    }
-}
 
 /// `(instance, slot)` continuation tag: where a produced value must go.
 type NativeWaiter = (InstanceId, SlotId);

@@ -1,6 +1,6 @@
 //! The pooled scheduler behind the `native` and `async` engines.
 //!
-//! Where [`super::SimEngine`] *models* iteration-level parallelism on
+//! Where the machine simulator *models* iteration-level parallelism on
 //! simulated PEs, the pooled engines *run* it: the partitioned SP program
 //! executes on a pool of real OS threads (one "virtual PE" per worker),
 //! iteration instances are spawned per the partitioner's distribution
@@ -29,10 +29,10 @@
 //! only thing left open is *how a blocked instance parks and wakes*, the
 //! [`Suspension`] strategy, dispatched statically:
 //!
-//! * `Registry` (`native`, [`super::NativeParallelEngine`]): a job-global
+//! * `Registry` (`native`, [`crate::EngineKind::Native`]): a job-global
 //!   blocked map plus a mailbox behind one scheduler lock; a waiter is an
 //!   `(instance, slot)` pair and frames move by value.
-//! * `Waker` (`async`, [`super::AsyncCoopEngine`]): each instance is a
+//! * `Waker` (`async`, [`crate::EngineKind::AsyncCoop`]): each instance is a
 //!   task that keeps its own suspension state; a waiter is an `Arc` of the
 //!   task plus the slot, so a delivery locks only the receiving task.
 //!
@@ -42,11 +42,11 @@
 //!
 //! # Pool lifecycle vs per-job state
 //!
-//! A pool outlives any single program execution; [`crate::Runtime`] keeps
-//! one alive across calls. A [`Job`] owns everything scoped to one
-//! execution. Queue entries carry an `Arc<Job>`, so any number of jobs can
-//! be in flight on one pool without cross-talk. The cold `Engine::run` path
-//! ([`run_cold`]) creates a transient pool, submits one job, and waits.
+//! A pool outlives any single program execution; [`crate::Runtime`] owns
+//! one and keeps it alive across calls (it is the only place a pool is
+//! spawned). A [`Job`] owns everything scoped to one execution. Queue
+//! entries carry an `Arc<Job>`, so any number of jobs can be in flight on
+//! one pool without cross-talk.
 //!
 //! # Warm-path cost model
 //!
@@ -64,9 +64,8 @@
 //!   instance per iteration recycle frames instead of hammering the
 //!   allocator.
 
-use super::{check_invocation, EngineOutcome, EngineStats};
+use super::{EngineOutcome, EngineStats};
 use crate::error::PodsError;
-use crate::pipeline::{CompiledProgram, RunOptions};
 use crate::trace::{TraceEventKind, TraceHandle};
 use pods_istructure::{
     ArrayHeader, ArrayId, Partitioning, PeId, SharedArray, SharedArrayStore, SharedReadResult,
@@ -190,8 +189,8 @@ pub struct PoolStats {
     pub steals: u64,
     /// Process-unique identity of the worker pool that executed the job.
     /// Two runs on the same [`crate::Runtime`] report the same `pool_id`
-    /// (the worker threads were reused); two cold
-    /// [`CompiledProgram::run_on`] calls report different ones.
+    /// (the worker threads were reused); runs on two runtimes report
+    /// different ones.
     pub pool_id: u64,
     /// 1-based sequence number of this job on its pool. A reused pool
     /// reports 1, 2, 3, … across successive submissions.
@@ -284,13 +283,12 @@ pub(crate) struct JobSpec {
     pub delivery_batch: usize,
     /// How many times adaptive grain control re-partitioned this program
     /// with a larger chunk before this submission (reported in the stats;
-    /// 0 for cold runs and fixed chunk policies).
+    /// 0 for fixed chunk policies).
     pub chunks_autotuned: u64,
     /// Completion hook: fired exactly once when the job finishes (success,
     /// failure, or cancellation), with the final allocation statistics of
     /// the job's I-structure store. Installed by the `Runtime`'s service
-    /// layer to drive its metrics and dispatch window; `None` on the cold
-    /// `Engine`-trait path.
+    /// layer to drive its metrics and dispatch window.
     pub on_done: Option<JobNotifier>,
     /// Flight-recorder handle: when present, the scheduler and the exec
     /// core emit trace events for this job (see [`crate::trace`]). `None`
@@ -302,52 +300,12 @@ pub(crate) struct JobSpec {
 /// [`JobSpec::on_done`]).
 pub(crate) type JobNotifier = Arc<dyn Fn(StoreStats) + Send + Sync>;
 
-impl JobSpec {
-    /// The cold-path constructor: partitions the program and builds the
-    /// read-slot tables for this one submission ([`crate::Runtime`]
-    /// amortises this via [`crate::PreparedProgram`]).
-    pub(crate) fn from_options(program: &CompiledProgram, opts: &RunOptions) -> JobSpec {
-        let (partitioned, partition) = program.partitioned(opts);
-        let read_slots = build_read_slots(&partitioned);
-        JobSpec {
-            program: Arc::new(partitioned),
-            read_slots: Arc::new(read_slots),
-            partition,
-            page_size: opts.page_size,
-            max_tasks: opts.max_events,
-            delivery_batch: opts.delivery_batch.max(1),
-            chunks_autotuned: 0,
-            on_done: None,
-            trace: None,
-        }
-    }
-}
-
 /// The error every job cut short by pool teardown reports (tests match on
 /// "cancelled").
 pub(crate) fn cancellation_error() -> SimulationError {
     SimulationError::Runtime(
         "job cancelled: its runtime was dropped before the job completed".into(),
     )
-}
-
-/// The one cold `Engine::run` of both pooled engines: spawns a transient
-/// pool of `opts.num_pes` workers, runs one job, and tears the pool down.
-pub(crate) fn run_cold<S: Suspension>(
-    program: &CompiledProgram,
-    args: &[Value],
-    opts: &RunOptions,
-) -> Result<EngineOutcome, PodsError> {
-    check_invocation(program, args)?;
-    let start = Instant::now();
-    let pool = Pool::<S>::new(opts.num_pes);
-    let mut outcome = pool
-        .submit(JobSpec::from_options(program, opts), args)
-        .wait()?;
-    // The cold path owns the pool, so its wall-clock honestly includes
-    // pool spawn, measured from entry.
-    outcome.wall_us = start.elapsed().as_secs_f64() * 1e6;
-    Ok(outcome)
 }
 
 /// Per-task memo of array directory lookups.
@@ -1340,14 +1298,43 @@ pub(crate) use strategy_tests;
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::pipeline::compile;
+    use crate::pipeline::{compile, CompiledProgram, RunOptions};
+
+    /// A job spec for one submission of `program`, prepared on the spot.
+    fn spec(program: &CompiledProgram, opts: &RunOptions) -> JobSpec {
+        let (partitioned, partition) = program.partitioned(opts);
+        let read_slots = build_read_slots(&partitioned);
+        JobSpec {
+            program: Arc::new(partitioned),
+            read_slots: Arc::new(read_slots),
+            partition,
+            page_size: opts.page_size,
+            max_tasks: opts.max_events,
+            delivery_batch: opts.delivery_batch.max(1),
+            chunks_autotuned: 0,
+            on_done: None,
+            trace: None,
+        }
+    }
+
+    /// One job on a pool of `opts.num_pes` workers spawned for it.
+    fn run_job<S: Suspension>(
+        src: &str,
+        args: &[Value],
+        opts: &RunOptions,
+    ) -> Result<EngineOutcome, PodsError> {
+        let program = compile(src).unwrap();
+        Pool::<S>::new(opts.num_pes)
+            .submit(spec(&program, opts), args)
+            .wait()
+    }
 
     fn run<S: Suspension>(src: &str, args: &[Value], opts: &RunOptions) -> EngineOutcome {
-        run_cold::<S>(&compile(src).unwrap(), args, opts).unwrap()
+        run_job::<S>(src, args, opts).unwrap()
     }
 
     fn run_err<S: Suspension>(src: &str, n: i64, opts: &RunOptions) -> SimulationError {
-        match run_cold::<S>(&compile(src).unwrap(), &[Value::Int(n)], opts) {
+        match run_job::<S>(src, &[Value::Int(n)], opts) {
             Err(PodsError::Simulation(e)) => e,
             other => panic!("{}: expected a run-time failure, got {other:?}", S::NAME),
         }
@@ -1486,7 +1473,7 @@ pub(crate) mod tests {
             } else {
                 (&scalar, vec![Value::Int(k)])
             };
-            handles.push((k, pool.submit(JobSpec::from_options(program, &opts), &args)));
+            handles.push((k, pool.submit(spec(program, &opts), &args)));
         }
         let mut seqs = Vec::new();
         for (k, handle) in handles {
@@ -1511,15 +1498,15 @@ pub(crate) mod tests {
         let good = compile("def main(n) { return n + 1; }").unwrap();
         let pool = Pool::<S>::new(2);
         let opts = RunOptions::with_pes(2);
-        let bad_handle = pool.submit(JobSpec::from_options(&bad, &opts), &[Value::Int(4)]);
-        let good_handle = pool.submit(JobSpec::from_options(&good, &opts), &[Value::Int(4)]);
+        let bad_handle = pool.submit(spec(&bad, &opts), &[Value::Int(4)]);
+        let good_handle = pool.submit(spec(&good, &opts), &[Value::Int(4)]);
         assert!(bad_handle.wait().is_err());
         assert_eq!(
             good_handle.wait().unwrap().return_value,
             Some(Value::Int(5))
         );
         // And the pool still accepts new work after a failure.
-        let again = pool.submit(JobSpec::from_options(&good, &opts), &[Value::Int(9)]);
+        let again = pool.submit(spec(&good, &opts), &[Value::Int(9)]);
         assert_eq!(again.wait().unwrap().return_value, Some(Value::Int(10)));
     }
 

@@ -1,9 +1,9 @@
 //! The sequential-interpreter engine (the correctness oracle).
 
-use super::{check_invocation, Engine, EngineOutcome, EngineStats};
+use super::{EngineKind, EngineOutcome, EngineStats};
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
-use pods_baseline::{run_sequential_bounded, BaselineError, SequentialRun};
+use pods_baseline::{run_sequential_bounded, SequentialRun};
 use pods_istructure::{ArrayId, Value};
 use pods_machine::{ArraySnapshot, SimulationError, TimingModel};
 use std::time::Instant;
@@ -12,18 +12,45 @@ use std::time::Instant;
 /// ([`pods_baseline::run_sequential`]) — no SPs, no I-structure run-time,
 /// just program order with the iPSC/2 cost model. The differential tests use
 /// this engine as the oracle the parallel engines must agree with.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialEngine;
+pub(crate) fn run(
+    program: &CompiledProgram,
+    args: &[Value],
+    opts: &RunOptions,
+) -> Result<EngineOutcome, PodsError> {
+    let start = Instant::now();
+    let run = interpret(program, args, opts)?;
+    let wall_us = start.elapsed().as_secs_f64() * 1e6;
+    Ok(EngineOutcome {
+        engine: EngineKind::Seq.name(),
+        return_value: run.return_value,
+        arrays: baseline_snapshots(&run),
+        modelled_us: Some(run.elapsed_us),
+        wall_us,
+        stats: EngineStats::Sequential {
+            nests: run.nests.len(),
+            serial_us: run.serial_us,
+        },
+        diagnostics: None,
+    })
+}
 
-/// Maps the interpreter's step-budget exhaustion onto the engines' shared
+/// Interprets the program under `opts.max_events`, mapping the
+/// interpreter's step-budget exhaustion onto the engines' shared
 /// event-limit error, so `RunOptions::max_events` reports uniformly across
 /// `sim`, `native`, `seq`, and `pr`.
-pub(crate) fn map_baseline_error(err: BaselineError, limit: u64) -> PodsError {
-    if err.is_step_limit() {
-        PodsError::Simulation(SimulationError::EventLimitExceeded { limit })
-    } else {
-        PodsError::Baseline(err)
-    }
+pub(crate) fn interpret(
+    program: &CompiledProgram,
+    args: &[Value],
+    opts: &RunOptions,
+) -> Result<SequentialRun, PodsError> {
+    let limit = opts.max_events;
+    run_sequential_bounded(program.hir(), args, &TimingModel::default(), limit).map_err(|err| {
+        if err.is_step_limit() {
+            PodsError::Simulation(SimulationError::EventLimitExceeded { limit })
+        } else {
+            PodsError::Baseline(err)
+        }
+    })
 }
 
 /// Converts the interpreter's array states into the uniform snapshot form.
@@ -40,46 +67,6 @@ pub(crate) fn baseline_snapshots(run: &SequentialRun) -> Vec<ArraySnapshot> {
         .collect()
 }
 
-impl Engine for SequentialEngine {
-    fn name(&self) -> &'static str {
-        "seq"
-    }
-
-    fn description(&self) -> &'static str {
-        "control-driven sequential interpreter (modelled time, correctness oracle)"
-    }
-
-    fn run(
-        &self,
-        program: &CompiledProgram,
-        args: &[Value],
-        opts: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError> {
-        check_invocation(program, args)?;
-        let start = Instant::now();
-        let run = run_sequential_bounded(
-            program.hir(),
-            args,
-            &TimingModel::default(),
-            opts.max_events,
-        )
-        .map_err(|e| map_baseline_error(e, opts.max_events))?;
-        let wall_us = start.elapsed().as_secs_f64() * 1e6;
-        Ok(EngineOutcome {
-            engine: self.name(),
-            return_value: run.return_value,
-            arrays: baseline_snapshots(&run),
-            modelled_us: Some(run.elapsed_us),
-            wall_us,
-            stats: EngineStats::Sequential {
-                nests: run.nests.len(),
-                serial_us: run.serial_us,
-            },
-            diagnostics: None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,9 +77,7 @@ mod tests {
         let program =
             compile("def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i * 2; } return a; }")
                 .unwrap();
-        let outcome = SequentialEngine
-            .run(&program, &[Value::Int(6)], &RunOptions::default())
-            .unwrap();
+        let outcome = run(&program, &[Value::Int(6)], &RunOptions::default()).unwrap();
         assert_eq!(
             outcome.returned_array().unwrap().get(&[5]),
             Some(Value::Int(10))
@@ -108,9 +93,7 @@ mod tests {
     #[test]
     fn runtime_errors_surface_as_baseline_errors() {
         let program = compile("def main(n) { a = array(n); return a[0]; }").unwrap();
-        let err = SequentialEngine
-            .run(&program, &[Value::Int(3)], &RunOptions::default())
-            .unwrap_err();
+        let err = run(&program, &[Value::Int(3)], &RunOptions::default()).unwrap_err();
         assert!(matches!(err, PodsError::Baseline(_)), "{err}");
     }
 
@@ -123,9 +106,7 @@ mod tests {
             max_events: 4,
             ..RunOptions::default()
         };
-        let err = SequentialEngine
-            .run(&program, &[Value::Int(64)], &opts)
-            .unwrap_err();
+        let err = run(&program, &[Value::Int(64)], &opts).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -136,8 +117,6 @@ mod tests {
             "{err}"
         );
         // Unlimited by default.
-        assert!(SequentialEngine
-            .run(&program, &[Value::Int(64)], &RunOptions::default())
-            .is_ok());
+        assert!(run(&program, &[Value::Int(64)], &RunOptions::default()).is_ok());
     }
 }

@@ -81,7 +81,7 @@ impl std::fmt::Display for PodsError {
                 write!(
                     f,
                     "unknown engine `{name}` (valid engines: {}; aliases: {})",
-                    crate::engine::ENGINE_NAMES.join(", "),
+                    crate::engine::EngineKind::ALL.map(|k| k.name()).join(", "),
                     crate::engine::EngineKind::ALL
                         .into_iter()
                         .flat_map(|k| k.aliases().iter().skip(1).copied())

@@ -1,13 +1,13 @@
 //! The long-lived execution context of PODS: [`Runtime`], built by
-//! [`RuntimeBuilder`].
+//! [`RuntimeBuilder`] — the one way to execute a program, on any engine.
 //!
 //! The paper's thesis is that iteration-level parallelism pays off when
-//! spawn overhead is amortised — yet a cold
-//! [`CompiledProgram::run_on`] call spins up a brand-new thread pool, runs
-//! one program, and tears everything down. A `Runtime` separates program
-//! construction from execution the way Timely Dataflow's `execute` layer
-//! does: build it once, then `run` any number of compiled programs (or
-//! argument sets) against the *same* persistent worker pool.
+//! spawn overhead is amortised. A `Runtime` separates program construction
+//! from execution the way Timely Dataflow's `execute` layer does: build it
+//! once (for the pooled engines that spawns the worker pool), then `run`
+//! any number of compiled programs (or argument sets) against the *same*
+//! persistent pool. A runtime is the only owner of a pool, so the cost of a
+//! cold run is exactly the cost of building and dropping a runtime.
 //!
 //! * [`Runtime::run`] — one program, blocking, on the warm pool.
 //! * [`Runtime::submit`] / [`JobHandle::wait`] — asynchronous submission;
@@ -57,8 +57,8 @@
 //! match the preparing runtime's.
 
 use crate::engine::{
-    build_read_slots, check_invocation, EngineKind, EngineOutcome, EngineStats, JobSpec, Pool,
-    PoolHandle, ReadSlots, Registry, SimEngine, Waker,
+    build_read_slots, pr, seq, sim, EngineKind, EngineOutcome, EngineStats, JobSpec, Pool,
+    PoolHandle, ReadSlots, Registry, Waker,
 };
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
@@ -257,7 +257,7 @@ impl RuntimeBuilder {
     }
 
     /// Replaces the whole option block at once (for callers that already
-    /// hold a [`RunOptions`], e.g. the compatibility wrappers).
+    /// hold a [`RunOptions`], e.g. [`crate::speedup_sweep`]).
     pub fn options(mut self, opts: RunOptions) -> Self {
         self.opts = opts;
         self
@@ -309,9 +309,8 @@ impl RuntimeBuilder {
 /// For [`EngineKind::Native`] the runtime owns a work-stealing worker pool
 /// that stays alive across `run` calls — per-run cost is one job
 /// submission, not a pool spawn. For the modelled engines (`sim`, `seq`,
-/// `pr`) the runtime is a thin, allocation-free front over the static
-/// engine registry (those engines are single-threaded models with no pool
-/// to keep warm).
+/// `pr`) the runtime runs each job eagerly on the submitting thread (those
+/// engines are single-threaded models with no pool to keep warm).
 ///
 /// Dropping the runtime joins the worker threads; outstanding jobs —
 /// queued or in flight — are cut short at the next instruction boundary
@@ -393,8 +392,7 @@ impl Runtime {
         RuntimeBuilder::new(kind)
     }
 
-    /// A runtime that executes with exactly the given options (the
-    /// compatibility path used by [`CompiledProgram::run_on`]).
+    /// A runtime that executes with exactly the given options.
     pub fn with_options(kind: EngineKind, opts: RunOptions) -> Runtime {
         RuntimeBuilder::new(kind).options(opts).build()
     }
@@ -755,19 +753,22 @@ impl Runtime {
             rec.emit(lane, job, 0, TraceEventKind::JobDispatched);
             (Arc::clone(rec), job)
         });
-        let mut outcome = match (&trace_job, self.kind) {
+        let (compiled, opts) = (program.compiled(), &self.opts);
+        let mut outcome = match self.kind {
             // The simulator reaches the shared exec core too, so a traced
             // run records the same core events as the pooled engines.
-            (Some((rec, job)), EngineKind::Sim) => SimEngine.run_traced(
-                program.compiled(),
-                args,
-                &self.opts,
-                TraceHandle {
+            EngineKind::Sim => {
+                let trace = trace_job.as_ref().map(|(rec, job)| TraceHandle {
                     rec: Arc::clone(rec),
                     job: *job,
-                },
-            ),
-            _ => self.kind.engine().run(program.compiled(), args, &self.opts),
+                });
+                sim::run(compiled, args, opts, trace)
+            }
+            EngineKind::Seq => seq::run(compiled, args, opts),
+            EngineKind::Pr => pr::run(compiled, args, opts),
+            EngineKind::Native | EngineKind::AsyncCoop => {
+                unreachable!("pooled kinds submit through the job service")
+            }
         };
         if let Some((rec, job)) = &trace_job {
             rec.emit(rec.service_lane(), *job, 0, TraceEventKind::JobFinished);
@@ -799,6 +800,21 @@ impl Runtime {
             .map(|handle| handle.and_then(JobHandle::wait))
             .collect()
     }
+}
+
+/// Validates an invocation against the program's entry point — the one
+/// check every engine relies on, made once at submission.
+fn check_invocation(program: &CompiledProgram, args: &[Value]) -> Result<(), PodsError> {
+    let Some(entry) = program.hir().entry() else {
+        return Err(PodsError::MissingEntry);
+    };
+    if entry.params.len() != args.len() {
+        return Err(PodsError::ArgumentMismatch {
+            expected: entry.params.len(),
+            got: args.len(),
+        });
+    }
+    Ok(())
 }
 
 /// An immutable, `Arc`-shared program prepared for execution: the cloned

@@ -24,8 +24,8 @@ fn main() -> Result<(), pods::PodsError> {
     }
 
     println!("SIMPLE {mesh}x{mesh}: one Lagrangian time step (velocity/position, hydrodynamics, conduction)");
-    let points = pods::speedup_sweep_on(
-        engine.name(),
+    let points = pods::speedup_sweep(
+        engine,
         &program,
         &[Value::Int(mesh as i64)],
         &pe_counts,

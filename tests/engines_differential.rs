@@ -186,10 +186,7 @@ fn simple_agrees_across_all_engines() {
 
 #[test]
 fn unknown_engine_names_are_rejected() {
-    let program = pods::compile("def main() { return 1; }").unwrap();
-    let err = program
-        .run_on("warp-drive", &[], &RunOptions::default())
-        .unwrap_err();
+    let err = "warp-drive".parse::<EngineKind>().unwrap_err();
     assert!(matches!(err, pods::PodsError::UnknownEngine { .. }));
     assert!(err.to_string().contains("native"));
 }
@@ -199,10 +196,14 @@ fn parallel_engines_agree_on_partitioning_decisions() {
     // All three parallel engines run the same partitioned program; their
     // reports must be identical for identical options.
     let program = pods::compile(pods_workloads::FILL).unwrap();
-    let opts = RunOptions::with_pes(4);
-    let sim = program.run_on("sim", &[Value::Int(8)], &opts).unwrap();
-    let native = program.run_on("native", &[Value::Int(8)], &opts).unwrap();
-    let coop = program.run_on("async", &[Value::Int(8)], &opts).unwrap();
+    let run = |kind| {
+        Runtime::with_options(kind, RunOptions::with_pes(4))
+            .run(&program, &[Value::Int(8)])
+            .unwrap()
+    };
+    let sim = run(EngineKind::Sim);
+    let native = run(EngineKind::Native);
+    let coop = run(EngineKind::AsyncCoop);
     assert_eq!(
         sim.partition().unwrap().loops,
         native.partition().unwrap().loops

@@ -2,9 +2,18 @@
 //! dataflow analysis, SP translation, partitioning, machine simulation)
 //! validated end to end against the independent sequential interpreter.
 
-use pods::{RunOptions, Value};
+use pods::{CompiledProgram, EngineKind, EngineOutcome, PodsError, RunOptions, Runtime, Value};
 use pods_baseline::run_sequential;
 use pods_machine::TimingModel;
+
+/// Runs `program` on the machine simulator under `opts`.
+fn sim(
+    program: &CompiledProgram,
+    args: &[Value],
+    opts: RunOptions,
+) -> Result<EngineOutcome, PodsError> {
+    Runtime::with_options(EngineKind::Sim, opts).run(program, args)
+}
 
 /// Runs a workload through PODS on `pes` PEs and through the sequential
 /// interpreter, and asserts that a named array matches element-wise.
@@ -18,11 +27,9 @@ fn assert_matches_reference(source: &str, args: &[Value], array: &str, pes: &[us
 
     let program = pods::compile(source).expect("pipeline compile");
     for &p in pes {
-        let outcome = program
-            .run(args, &RunOptions::with_pes(p))
+        let outcome = sim(&program, args, RunOptions::with_pes(p))
             .unwrap_or_else(|e| panic!("simulation on {p} PEs failed: {e}"));
         let got = outcome
-            .result
             .array(array)
             .unwrap_or_else(|| panic!("array `{array}` missing on {p} PEs"))
             .to_f64(f64::NAN);
@@ -83,8 +90,14 @@ fn simple_benchmark_matches_reference_across_machine_sizes() {
 #[test]
 fn simple_speedup_appears_on_larger_meshes() {
     let program = pods::compile(pods_workloads::simple::SIMPLE).unwrap();
-    let points =
-        pods::speedup_sweep(&program, &[Value::Int(16)], &[1, 8], &RunOptions::default()).unwrap();
+    let points = pods::speedup_sweep(
+        EngineKind::Sim,
+        &program,
+        &[Value::Int(16)],
+        &[1, 8],
+        &RunOptions::default(),
+    )
+    .unwrap();
     assert!(
         points[1].speedup > 1.2,
         "8 PEs should beat 1 PE on a 16x16 mesh, got {:.2}x",
@@ -96,10 +109,8 @@ fn simple_speedup_appears_on_larger_meshes() {
 fn simple_partitioning_decisions_follow_the_paper() {
     use pods::LoopDecision;
     let program = pods::compile(pods_workloads::simple::SIMPLE).unwrap();
-    let outcome = program
-        .run(&[Value::Int(8)], &RunOptions::with_pes(4))
-        .unwrap();
-    let report = &outcome.partition;
+    let outcome = sim(&program, &[Value::Int(8)], RunOptions::with_pes(4)).unwrap();
+    let report = outcome.partition().unwrap();
 
     // velocity_position and hydrodynamics outer loops distribute.
     for function in ["init_state", "velocity_position", "hydrodynamics"] {
@@ -127,9 +138,7 @@ fn single_pe_pods_is_within_a_small_factor_of_the_sequential_baseline() {
     let hir = pods_idlang::compile(source).unwrap();
     let seq = run_sequential(&hir, &[Value::Int(16)], &TimingModel::default()).unwrap();
     let program = pods::compile(source).unwrap();
-    let outcome = program
-        .run(&[Value::Int(16)], &RunOptions::with_pes(1))
-        .unwrap();
+    let outcome = sim(&program, &[Value::Int(16)], RunOptions::with_pes(1)).unwrap();
     let ratio = outcome.elapsed_us() / seq.elapsed_us;
     assert!(
         ratio > 1.0 && ratio < 4.0,
@@ -142,10 +151,8 @@ fn execution_unit_dominates_the_other_functional_units() {
     // Figure 8's headline observation.
     use pods::Unit;
     let program = pods::compile(pods_workloads::simple::SIMPLE).unwrap();
-    let outcome = program
-        .run(&[Value::Int(16)], &RunOptions::with_pes(8))
-        .unwrap();
-    let stats = &outcome.result.stats;
+    let outcome = sim(&program, &[Value::Int(16)], RunOptions::with_pes(8)).unwrap();
+    let stats = outcome.simulation_stats().unwrap();
     let eu = stats.utilization(Unit::Execution);
     for unit in [Unit::Matching, Unit::MemoryManager, Unit::ArrayManager] {
         assert!(
@@ -182,21 +189,25 @@ fn ablation_disabling_the_page_cache_increases_remote_traffic() {
     with_cache.remote_page_cache = true;
     let mut without_cache = RunOptions::with_pes(8);
     without_cache.remote_page_cache = false;
-    let a = program.run(&[Value::Int(24)], &with_cache).unwrap();
-    let b = program.run(&[Value::Int(24)], &without_cache).unwrap();
+    let a = sim(&program, &[Value::Int(24)], with_cache).unwrap();
+    let b = sim(&program, &[Value::Int(24)], without_cache).unwrap();
+    let remote_reads = |o: &EngineOutcome| o.simulation_stats().unwrap().total_remote_reads();
     assert!(
-        b.result.stats.total_remote_reads() >= a.result.stats.total_remote_reads(),
+        remote_reads(&b) >= remote_reads(&a),
         "disabling the cache should not reduce remote reads"
     );
-    assert!(b.result.array("next").unwrap().is_complete());
+    assert!(b.array("next").unwrap().is_complete());
 }
 
 #[test]
 fn run_options_and_reports_are_exposed_through_the_facade() {
     // Exercise the umbrella crate re-exports.
     let program = pods_repro::compile("def main() { return 1 + 1; }").unwrap();
-    let outcome = program
-        .run(&[], &pods_repro::RunOptions::default())
-        .unwrap();
-    assert_eq!(outcome.result.return_value, Some(pods_repro::Value::Int(2)));
+    let outcome = pods_repro::Runtime::with_options(
+        pods_repro::EngineKind::Sim,
+        pods_repro::RunOptions::default(),
+    )
+    .run(&program, &[])
+    .unwrap();
+    assert_eq!(outcome.return_value, Some(pods_repro::Value::Int(2)));
 }

@@ -1,7 +1,7 @@
 //! Integration tests of the persistent `pods::Runtime` API: pool reuse
 //! across sequential runs, concurrent batched submission, many OS threads
 //! sharing one runtime, job-scoped failures, and the amortisation win of a
-//! warm pool over cold `run_on` calls.
+//! warm pool over cold runs (a fresh runtime per run).
 
 use pods::{
     CompiledProgram, EngineKind, EngineOutcome, EngineStats, NativeStats, PartitionConfig,
@@ -88,17 +88,14 @@ fn two_sequential_runs_reuse_the_same_worker_pool() {
     );
 
     // Cold runs, by contrast, get a fresh pool each time.
-    let cold1 = program
-        .run_on("native", &[Value::Int(16)], &RunOptions::with_pes(2))
-        .unwrap();
-    let cold2 = program
-        .run_on("native", &[Value::Int(16)], &RunOptions::with_pes(2))
-        .unwrap();
+    let cold = || {
+        Runtime::with_options(EngineKind::Native, RunOptions::with_pes(2))
+            .run(&program, &[Value::Int(16)])
+            .unwrap()
+    };
+    let (cold1, cold2) = (cold(), cold());
     let (c1, c2) = (native_stats(&cold1), native_stats(&cold2));
-    assert_ne!(
-        c1.pool_id, c2.pool_id,
-        "cold run_on calls must not share a pool"
-    );
+    assert_ne!(c1.pool_id, c2.pool_id, "cold runs must not share a pool");
     assert_ne!(c1.pool_id, s1.pool_id);
     assert_eq!((c1.job_seq, c2.job_seq), (1, 1));
 }
@@ -222,8 +219,8 @@ fn failures_are_job_scoped_and_do_not_poison_the_pool() {
 
 #[test]
 fn warm_runtime_amortises_pool_spawn_over_cold_run_on() {
-    // N back-to-back runs on one Runtime vs N cold run_on calls (each of
-    // which spawns and joins a fresh pool). On a single-core or co-tenanted
+    // N back-to-back runs on one Runtime vs N cold runs (each on a fresh
+    // Runtime, which spawns and joins its own pool). On a single-core or co-tenanted
     // host this is reported but not asserted, mirroring the PR 1 speed-up
     // test; from 2 cores up the warm path must at least not lose by more
     // than scheduler noise.
@@ -248,8 +245,8 @@ fn warm_runtime_amortises_pool_spawn_over_cold_run_on() {
     let cold = || -> f64 {
         let start = std::time::Instant::now();
         for _ in 0..RUNS {
-            program
-                .run_on("native", &args, &RunOptions::with_pes(workers))
+            Runtime::with_options(EngineKind::Native, RunOptions::with_pes(workers))
+                .run(&program, &args)
                 .unwrap();
         }
         start.elapsed().as_secs_f64() * 1e6
@@ -263,7 +260,7 @@ fn warm_runtime_amortises_pool_spawn_over_cold_run_on() {
     }
     eprintln!(
         "{RUNS} runs on {workers} workers ({cores}-core host): \
-         warm runtime {warm_best:.0} us, cold run_on {cold_best:.0} us \
+         warm runtime {warm_best:.0} us, cold runtimes {cold_best:.0} us \
          ({:.2}x)",
         cold_best / warm_best
     );
