@@ -16,12 +16,6 @@
 //!   wake-up) on a read-heavy gather, with the per-job wake-up/flush
 //!   counters recorded alongside the timings (the lock-traffic reduction is
 //!   core-count-independent, unlike the wall-clock);
-//! * `async_vs_native` — the two pooled schedulers head to head on a
-//!   suspension-heavy gather and a carried recurrence: parked-instance
-//!   scheduling (native) vs futures-style task suspension (async), with
-//!   each run's suspension/resumption/steal counters recorded so the
-//!   scheduling overhead the paper's evaluation is about is visible even
-//!   where a single-core host hides the wall-clock difference;
 //! * `grain_size` — warm native runs of fill and gather at small sizes
 //!   (n = 8 .. 64) sweeping the chunk grain (1, 2, 8, auto): the
 //!   per-instance spawn/park overhead that grain-1 execution pays per
@@ -306,58 +300,6 @@ fn bench_engines(c: &mut Criterion) {
                  \"workers\": {batch_workers}, \"mean_wall_us\": {mean_us:.1}, \
                  \"wakeups\": {}, \"wakeup_flushes\": {}}}",
                 stats.wakeups, stats.wakeup_flushes
-            ));
-        }
-        group.finish();
-    }
-
-    // async_vs_native: same prepared warm path, two schedulers. The gather
-    // workload is suspension-dominated (every probe defers once); the
-    // recurrence chains suspensions serially. Suspension/resumption/steal
-    // counters come from one extra run per configuration — they are
-    // deterministic on one worker and nearly so on several, and unlike the
-    // wall-clock they do not need a multi-core host to be meaningful.
-    for (workload, source, n) in [
-        ("gather", gather_source(64), 64i64),
-        ("recurrence", pods_workloads::RECURRENCE.to_string(), 96),
-    ] {
-        let program = pods::compile(&source).expect("workload compiles");
-        let mut group = c.benchmark_group(format!("async_vs_native_{workload}_{n}"));
-        for kind in [EngineKind::Native, EngineKind::AsyncCoop] {
-            let runtime = Runtime::builder(kind)
-                .workers(reuse_workers)
-                .chunk_policy(env_chunk)
-                .build();
-            let prepared = runtime.prepare(&program);
-            let mut mean_us = 0.0;
-            group.bench_with_input(
-                BenchmarkId::new(kind.name(), reuse_workers),
-                &reuse_workers,
-                |b, _| {
-                    b.iter(|| {
-                        for _ in 0..PREP_RUNS {
-                            runtime.run(&prepared, &[Value::Int(n)]).expect("bench run");
-                        }
-                    });
-                    mean_us = b.mean_ns / 1e3 / PREP_RUNS as f64;
-                },
-            );
-            let outcome = runtime.run(&prepared, &[Value::Int(n)]).expect("stats run");
-            // Both strategies report the pool's counters: a suspension is a
-            // park, and resumptions are counted as deliveries re-queue
-            // parked instances.
-            let (suspensions, resumptions, steals) = match outcome.stats {
-                EngineStats::Native { stats, .. } | EngineStats::AsyncCoop { stats, .. } => {
-                    (stats.parks, stats.resumptions, stats.steals)
-                }
-                other => panic!("pooled stats expected, got {other:?}"),
-            };
-            rows.push_str(&format!(
-                ",\n    {{\"workload\": \"{workload}\", \"n\": {n}, \"engine\": \"{}\", \
-                 \"workers\": {reuse_workers}, \"mean_wall_us\": {mean_us:.1}, \
-                 \"suspensions\": {suspensions}, \"resumptions\": {resumptions}, \
-                 \"steals\": {steals}}}",
-                kind.name()
             ));
         }
         group.finish();

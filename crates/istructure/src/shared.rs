@@ -14,12 +14,9 @@
 //!   re-activate the blocked computations (the paper's "presence bit +
 //!   deferred-read queue" protocol, §4.1, lifted onto threads).
 //!
-//! The waiter tag type `T` is deliberately opaque, which lets one store
-//! serve two wake-up protocols: the native engine's *parked-instance
-//! mailboxes* (tags are plain `(instance, slot)` ids resolved against a
-//! job-global scheduler) and the async engine's *wakers* (tags carry an
-//! `Arc` of the suspended task itself, so the writer re-activates it by
-//! locking only that task — the `Waker` half of a futures executor).
+//! The waiter tag type `T` is opaque: the store only hands tags back to the
+//! writer. The native engine's tags are plain `(instance, slot)` ids,
+//! resolved against its job's parked-instance map and mailbox.
 //!
 //! Synchronisation is per-cell (`Mutex` around each element), so writes and
 //! reads to distinct elements never contend, and the array directory is
@@ -220,8 +217,7 @@ const DIRECTORY_SHARDS: usize = 16;
 ///
 /// The waiter tag type `T` identifies the blocked computation to re-activate
 /// when a deferred element is finally written: the native engine uses an
-/// `(instance, slot)` pair resolved against its scheduler, the async engine
-/// a waker (an `Arc` of the suspended task plus the slot).
+/// `(instance, slot)` pair resolved against its job's parked instances.
 ///
 /// The directory is split into a fixed number of independently locked
 /// maps (16 shards) keyed by array id. Per-task caching already hides directory lookups

@@ -1,9 +1,9 @@
-//! The execution layer of PODS: five engines, one typed [`EngineKind`].
+//! The execution layer of PODS: four engines, one typed [`EngineKind`].
 //!
 //! The repository has three ways to *model* a compiled program — the
 //! discrete-event machine simulator, the sequential baseline interpreter,
-//! and the Pingali & Rogers cost model — and two ways to *run* it on real
-//! threads. [`crate::Runtime`] is the one entry point to all five: every
+//! and the Pingali & Rogers cost model — and one way to *run* it on real
+//! threads. [`crate::Runtime`] is the one entry point to all four: every
 //! engine consumes the same [`CompiledProgram`](crate::CompiledProgram)
 //! and [`RunOptions`](crate::RunOptions) and produces the same
 //! [`EngineOutcome`], so correctness can be cross-checked differentially
@@ -21,16 +21,11 @@
 //! * [`EngineKind::Native`] — executes the partitioned SP program on a
 //!   real work-stealing thread pool with a thread-safe I-structure store,
 //!   reporting *wall-clock* time on N OS threads; blocked instances park in
-//!   a job-global registry.
-//! * [`EngineKind::AsyncCoop`] — the same pool with futures-style
-//!   suspension: each instance is a task, and suspended reads register
-//!   *wakers* with the I-structure store. The two pooled engines share one
-//!   scheduler (`pool`) and differ only in how a blocked instance parks and
-//!   wakes — the scheduling-overhead comparison the paper's evaluation is
-//!   about.
+//!   a job-global registry until the write that fills their operand
+//!   re-queues them.
 //!
-//! Engine selection is *typed*: [`EngineKind`] is the enum of the five
-//! engines and parses every historical name and alias (`FromStr`). Build a
+//! Engine selection is *typed*: [`EngineKind`] is the enum of the four
+//! engines and parses every name and alias (`FromStr`). Build a
 //! [`crate::Runtime`] from it to execute programs:
 //!
 //! ```
@@ -48,15 +43,13 @@
 //! # Ok::<(), pods::PodsError>(())
 //! ```
 
-mod async_coop;
+#[cfg(test)]
 mod native;
 mod pool;
 pub(crate) mod pr;
 pub(crate) mod seq;
 pub(crate) mod sim;
 
-pub(crate) use async_coop::Waker;
-pub(crate) use native::Registry;
 pub use pool::PoolStats;
 pub(crate) use pool::{
     build_read_slots, cancellation_error, JobSpec, Pool, PoolCanceller, PoolHandle, ReadSlots,
@@ -95,13 +88,6 @@ pub enum EngineStats {
     },
     /// Native thread-pool statistics plus the partitioning decisions.
     Native {
-        /// Worker/instance/park/steal counters from the pool.
-        stats: PoolStats,
-        /// The partitioner's per-loop decisions.
-        partition: PartitionReport,
-    },
-    /// Cooperative-executor statistics plus the partitioning decisions.
-    AsyncCoop {
         /// Worker/instance/park/steal counters from the pool.
         stats: PoolStats,
         /// The partitioner's per-loop decisions.
@@ -171,14 +157,12 @@ impl EngineOutcome {
     }
 
     /// Effective grain — average loop iterations executed per spawned SP
-    /// instance — for the engines that spawn real instances (native,
-    /// async). `None` for the modelled engines, which have no instance
-    /// pool to measure.
+    /// instance — for the engine that spawns real instances (native).
+    /// `None` for the modelled engines, which have no instance pool to
+    /// measure.
     pub fn iterations_per_instance(&self) -> Option<f64> {
         match &self.stats {
-            EngineStats::Native { stats, .. } | EngineStats::AsyncCoop { stats, .. } => {
-                Some(stats.iterations_per_instance())
-            }
+            EngineStats::Native { stats, .. } => Some(stats.iterations_per_instance()),
             _ => None,
         }
     }
@@ -186,9 +170,9 @@ impl EngineOutcome {
     /// The partition report, for engines that run the partitioned program.
     pub fn partition(&self) -> Option<&PartitionReport> {
         match &self.stats {
-            EngineStats::Simulated { partition, .. }
-            | EngineStats::Native { partition, .. }
-            | EngineStats::AsyncCoop { partition, .. } => Some(partition),
+            EngineStats::Simulated { partition, .. } | EngineStats::Native { partition, .. } => {
+                Some(partition)
+            }
             _ => None,
         }
     }
@@ -202,7 +186,7 @@ impl EngineOutcome {
 
 impl EngineStats {
     /// A one-line human summary of the engine's counters, uniform across
-    /// engines: the pooled engines defer to [`PoolStats`]'s `Display`, the
+    /// engines: the pooled engine defers to [`PoolStats`]'s `Display`, the
     /// modelled engines report their headline numbers.
     pub fn summary(&self) -> String {
         match self {
@@ -219,7 +203,6 @@ impl EngineStats {
                 point.elapsed_us, point.pes, point.speedup
             ),
             EngineStats::Native { stats, .. } => format!("native: {stats}"),
-            EngineStats::AsyncCoop { stats, .. } => format!("async: {stats}"),
         }
     }
 }
@@ -228,8 +211,7 @@ impl EngineStats {
 ///
 /// This replaces stringly engine selection: parse a name (or alias) once
 /// into an `EngineKind`, then build a [`crate::Runtime`] from it. Parsing
-/// is case-insensitive and accepts every name the string-based API ever
-/// accepted.
+/// is case-insensitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The instruction-level iPSC/2 machine simulator.
@@ -238,31 +220,26 @@ pub enum EngineKind {
     Seq,
     /// The Pingali & Rogers static-compilation cost model.
     Pr,
-    /// The native work-stealing thread pool (registry suspension).
+    /// The native work-stealing thread pool.
     Native,
-    /// The same pool with futures-style waker suspension.
-    AsyncCoop,
 }
 
 impl EngineKind {
     /// All engine kinds, in canonical order.
-    pub const ALL: [EngineKind; 5] = [
+    pub const ALL: [EngineKind; 4] = [
         EngineKind::Sim,
         EngineKind::Seq,
         EngineKind::Pr,
         EngineKind::Native,
-        EngineKind::AsyncCoop,
     ];
 
-    /// The canonical short name (`"sim"`, `"seq"`, `"pr"`, `"native"`,
-    /// `"async"`).
+    /// The canonical short name (`"sim"`, `"seq"`, `"pr"`, `"native"`).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Sim => "sim",
             EngineKind::Seq => "seq",
             EngineKind::Pr => "pr",
             EngineKind::Native => "native",
-            EngineKind::AsyncCoop => "async",
         }
     }
 
@@ -281,9 +258,6 @@ impl EngineKind {
             EngineKind::Native => {
                 "work-stealing thread pool over the shared I-structure store (wall-clock time on N threads)"
             }
-            EngineKind::AsyncCoop => {
-                "cooperative executor: futures-style instance suspension with I-structure wakers (wall-clock time on N threads)"
-            }
         }
     }
 
@@ -294,7 +268,6 @@ impl EngineKind {
             EngineKind::Seq => &["seq", "sequential", "baseline"],
             EngineKind::Pr => &["pr", "estimate", "pingali-rogers"],
             EngineKind::Native => &["native", "threads", "parallel"],
-            EngineKind::AsyncCoop => &["async", "async-coop", "coop", "futures"],
         }
     }
 
@@ -302,7 +275,7 @@ impl EngineKind {
     /// [`crate::Runtime`] keeps warm (as opposed to the modelled engines,
     /// which run eagerly on the calling thread).
     pub fn is_pooled(self) -> bool {
-        matches!(self, EngineKind::Native | EngineKind::AsyncCoop)
+        matches!(self, EngineKind::Native)
     }
 
     /// Parses a name or alias, case-insensitively and without allocating.
@@ -383,7 +356,7 @@ mod tests {
     fn engine_kind_is_typed_and_static() {
         for (kind, name) in EngineKind::ALL
             .into_iter()
-            .zip(["sim", "seq", "pr", "native", "async"])
+            .zip(["sim", "seq", "pr", "native"])
         {
             assert_eq!(kind.name(), name);
             assert_eq!(kind.to_string(), name);
@@ -394,6 +367,17 @@ mod tests {
             "warp-drive".parse::<EngineKind>(),
             Err(PodsError::UnknownEngine { name }) if name == "warp-drive"
         ));
+        // There is one pooled engine: other pooled-sounding names are
+        // errors, not silent aliases of it.
+        for name in ["async", "async-coop", "coop", "futures"] {
+            assert!(
+                matches!(
+                    name.parse::<EngineKind>(),
+                    Err(PodsError::UnknownEngine { .. })
+                ),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -402,9 +386,9 @@ mod tests {
         let message = err.to_string();
         assert_eq!(
             message,
-            "unknown engine `warp-drive` (valid engines: sim, seq, pr, native, async; \
+            "unknown engine `warp-drive` (valid engines: sim, seq, pr, native; \
              aliases: simulator, pods, sequential, baseline, estimate, pingali-rogers, \
-             threads, parallel, async-coop, coop, futures)"
+             threads, parallel)"
         );
         for kind in EngineKind::ALL {
             for alias in kind.aliases() {

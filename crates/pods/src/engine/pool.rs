@@ -1,11 +1,11 @@
-//! The pooled scheduler behind the `native` and `async` engines.
+//! The pooled scheduler behind the `native` engine.
 //!
 //! Where the machine simulator *models* iteration-level parallelism on
-//! simulated PEs, the pooled engines *run* it: the partitioned SP program
-//! executes on a pool of real OS threads (one "virtual PE" per worker),
-//! iteration instances are spawned per the partitioner's distribution
-//! decisions (distributing allocate, `LD`, Range Filters), and instances
-//! synchronise through the thread-safe I-structure store
+//! simulated PEs, the pool *runs* it: the partitioned SP program executes
+//! on a pool of real OS threads (one "virtual PE" per worker), iteration
+//! instances are spawned per the partitioner's distribution decisions
+//! (distributing allocate, `LD`, Range Filters), and instances synchronise
+//! through the thread-safe I-structure store
 //! ([`pods_istructure::SharedArrayStore`]) — write-once cells whose deferred
 //! readers are re-activated by the eventual write, exactly the paper's
 //! presence-bit protocol lifted onto threads.
@@ -13,32 +13,27 @@
 //! Scheduling follows the paper's blocked/ready instance model rather than
 //! blocking OS threads: when an instance needs an operand that has not
 //! arrived (an unwritten array element or an outstanding function return),
-//! the *instance* is suspended and the worker moves on. The write (or
-//! return) that produces the operand delivers it and re-queues the
-//! instance. This makes the pool deadlock-free under any scheduling order a
-//! correct program allows, and lets it detect true deadlocks exactly: when
-//! no task of a job is queued or running but instances remain suspended,
-//! no future delivery can happen.
+//! the *instance* is parked and the worker moves on. The write (or return)
+//! that produces the operand delivers it and re-queues the instance. This
+//! makes the pool deadlock-free under any scheduling order a correct
+//! program allows, and lets it detect true deadlocks exactly: when no task
+//! of a job is queued or running but instances remain parked, no future
+//! delivery can happen.
 //!
 //! [`Pool`] owns everything about scheduling: the worker threads, their
 //! deques with work stealing (own deque LIFO for locality, steal FIFO from
 //! siblings — `std` threads, mutexes and condvars only), the per-job state
 //! ([`Job`]: store, liveness counts, stop/error/result, counters, completion
 //! hook, trace), batched wake-up delivery, instance arenas, the one run loop
-//! over [`pods_sp::exec::run_instance`], and the one `ExecCtx` adapter. The
-//! only thing left open is *how a blocked instance parks and wakes*, the
-//! [`Suspension`] strategy, dispatched statically:
+//! over [`pods_sp::exec::run_instance`], and the one `ExecCtx` adapter.
 //!
-//! * `Registry` (`native`, [`crate::EngineKind::Native`]): a job-global
-//!   blocked map plus a mailbox behind one scheduler lock; a waiter is an
-//!   `(instance, slot)` pair and frames move by value.
-//! * `Waker` (`async`, [`crate::EngineKind::AsyncCoop`]): each instance is a
-//!   task that keeps its own suspension state; a waiter is an `Arc` of the
-//!   task plus the slot, so a delivery locks only the receiving task.
-//!
-//! Both strategies count the same things the same way ([`PoolStats`]): any
-//! difference between the two engines is the cost of the suspension
-//! mechanism, not of the protocol around it.
+//! A parked instance goes into its job's blocked map, keyed by instance,
+//! and a waiter is an `(instance, slot)` pair. Delivering a batch of
+//! wake-ups takes the job's scheduler lock once: each value fills its
+//! parked frame (re-queuing the instance when the awaited slot arrives) or,
+//! when its target is queued or running, lands in the mailbox, which the
+//! target drains when it next tries to park. Frames move by value between
+//! the run queues, the worker, and the blocked map.
 //!
 //! # Pool lifecycle vs per-job state
 //!
@@ -56,7 +51,7 @@
 //! * **Batched wake-up delivery**: writes append their `(waiter, value)`
 //!   wake-ups to a per-worker buffer
 //!   ([`pods_istructure::SharedArray::write_into`]), delivered in one
-//!   strategy transaction when the buffer reaches the job's
+//!   scheduler-lock transaction when the buffer reaches the job's
 //!   `delivery_batch` and at every task boundary (park, finish, error), so
 //!   deadlock detection observes exactly the liveness it would unbatched.
 //! * **Per-worker instance arenas**: finished instances return their frame
@@ -64,7 +59,7 @@
 //!   instance per iteration recycle frames instead of hammering the
 //!   allocator.
 
-use super::{EngineOutcome, EngineStats};
+use super::{EngineKind, EngineOutcome, EngineStats};
 use crate::error::PodsError;
 use crate::trace::{TraceEventKind, TraceHandle};
 use pods_istructure::{
@@ -76,102 +71,82 @@ use pods_partition::PartitionReport;
 use pods_sp::exec::{self, ArrayOps, ExecCtx, ExecEvent, Loaded, RunExit, TraceSink};
 pub(crate) use pods_sp::exec::{build_read_slots, ReadSlots};
 use pods_sp::{Operand, SlotId, SpId, SpProgram};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// How a blocked instance parks and how a delivered value wakes it — the
-/// one thing the two pooled engines do differently. Everything else
-/// (queues, liveness, counters, the run loop) is the [`Pool`]'s.
-pub(crate) trait Suspension: Sized + Send + Sync + 'static {
-    /// Engine name reported in outcomes and worker-thread names.
-    const NAME: &'static str;
-    /// The continuation tag registered with the store: where a produced
-    /// value must go.
-    type Waiter: Clone + Send + Sync + 'static;
-    /// A runnable instance as it sits in a run queue.
-    type Task: Send + 'static;
-    /// What a worker holds for an instance while it runs, besides the frame.
-    type Running;
-    /// Per-job suspension state.
-    type State: Default + Send + Sync;
-
-    /// A freshly spawned, runnable task.
-    fn task(meta: InstMeta<Self::Waiter>, frame: Frame) -> Self::Task;
-    /// The instance a queued task runs (for trace events).
-    fn task_id(task: &Self::Task) -> InstanceId;
-    /// Checks a popped task out for execution.
-    fn begin(task: Self::Task) -> (Self::Running, Frame);
-    /// The identity of the running instance.
-    fn meta(running: &Self::Running) -> &InstMeta<Self::Waiter>;
-    /// The waiter that routes a value into `slot` of the running instance.
-    fn waiter(running: &Self::Running, slot: SlotId) -> Self::Waiter;
-    /// Delivers a batch of wake-ups, pushing every task whose awaited slot
-    /// arrived onto `woken`.
-    fn deliver(
-        state: &Self::State,
-        batch: std::vec::Drain<'_, (Self::Waiter, Value)>,
-        woken: &mut Vec<Self::Task>,
-    );
-    /// Parks the running instance on `slot`, unless a delivery that raced
-    /// the park already filled it: then the instance is handed back to keep
-    /// running.
-    fn try_suspend(
-        state: &Self::State,
-        running: Self::Running,
-        frame: Frame,
-        slot: SlotId,
-    ) -> Option<(Self::Running, Frame)>;
-    /// The instance finished or was abandoned; later deliveries to it are
-    /// dropped.
-    fn retire(_running: &Self::Running) {}
-    /// This engine's [`EngineStats`] variant.
-    fn engine_stats(stats: PoolStats, partition: PartitionReport) -> EngineStats;
-}
+/// `(instance, slot)` continuation tag registered with the store: where a
+/// produced value must go.
+type Waiter = (InstanceId, SlotId);
 
 /// The immutable identity of one SP instance.
-pub(crate) struct InstMeta<W> {
-    pub id: InstanceId,
-    pub template: SpId,
+struct InstMeta {
+    id: InstanceId,
+    template: SpId,
     /// The virtual PE this instance runs as (drives Range Filters).
-    pub pe: usize,
+    pe: usize,
     /// Where the instance's return value goes, if it is a call.
-    pub return_to: Option<W>,
+    return_to: Option<Waiter>,
+}
+
+impl InstMeta {
+    /// The waiter that routes a value into `slot` of this instance.
+    fn waiter(&self, slot: SlotId) -> Waiter {
+        (self.id, slot)
+    }
 }
 
 /// The execution state of one instance: everything a worker needs to resume
 /// it where it left off.
-#[derive(Debug)]
-pub(crate) struct Frame {
-    pub pc: usize,
-    pub slots: Vec<Option<Value>>,
+struct Frame {
+    pc: usize,
+    slots: Vec<Option<Value>>,
 }
 
 impl Frame {
-    pub(crate) fn slot(&self, slot: SlotId) -> Option<Value> {
+    fn slot(&self, slot: SlotId) -> Option<Value> {
         self.slots.get(slot.index()).copied().flatten()
     }
 
-    pub(crate) fn is_present(&self, slot: SlotId) -> bool {
+    fn is_present(&self, slot: SlotId) -> bool {
         self.slot(slot).is_some()
     }
 
-    pub(crate) fn set_slot(&mut self, slot: SlotId, value: Value) {
+    fn set_slot(&mut self, slot: SlotId, value: Value) {
         if slot.index() < self.slots.len() {
             self.slots[slot.index()] = Some(value);
         }
     }
 
-    pub(crate) fn clear_slot(&mut self, slot: SlotId) {
+    fn clear_slot(&mut self, slot: SlotId) {
         if slot.index() < self.slots.len() {
             self.slots[slot.index()] = None;
         }
     }
 }
 
-/// Counters reported by the pool for one job, identical in meaning for both
-/// suspension strategies.
+/// A runnable instance: its identity plus the frame it resumes from.
+struct Task {
+    meta: InstMeta,
+    frame: Frame,
+}
+
+/// An instance parked on a missing operand.
+struct Blocked {
+    task: Task,
+    slot: SlotId,
+}
+
+/// A job's parked instances plus the mailbox for values that arrive while
+/// their target instance is queued or running.
+#[derive(Default)]
+struct Sched {
+    blocked: HashMap<InstanceId, Blocked>,
+    mailbox: HashMap<InstanceId, Vec<(SlotId, Value)>>,
+}
+
+/// Counters reported by the pool for one job.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Number of worker threads in the pool that ran the job.
@@ -269,8 +244,7 @@ impl std::fmt::Display for PoolStats {
 /// Everything program-shaped a job needs, in `Arc`-shared form so warm
 /// submissions of the same prepared program pay zero setup: the partitioned
 /// SP program, its read-slot tables, the partition report (for the
-/// outcome), and the per-job execution knobs. One [`crate::PreparedProgram`]
-/// handle serves either strategy.
+/// outcome), and the per-job execution knobs.
 pub(crate) struct JobSpec {
     pub program: Arc<SpProgram>,
     pub read_slots: Arc<ReadSlots>,
@@ -287,8 +261,9 @@ pub(crate) struct JobSpec {
     pub chunks_autotuned: u64,
     /// Completion hook: fired exactly once when the job finishes (success,
     /// failure, or cancellation), with the final allocation statistics of
-    /// the job's I-structure store. Installed by the `Runtime`'s service
-    /// layer to drive its metrics and dispatch window.
+    /// the job's I-structure store and whether the job failed. Installed by
+    /// the `Runtime`'s service layer to drive its metrics and dispatch
+    /// window.
     pub on_done: Option<JobNotifier>,
     /// Flight-recorder handle: when present, the scheduler and the exec
     /// core emit trace events for this job (see [`crate::trace`]). `None`
@@ -298,7 +273,7 @@ pub(crate) struct JobSpec {
 
 /// The completion callback a [`JobSpec`] can carry (see
 /// [`JobSpec::on_done`]).
-pub(crate) type JobNotifier = Arc<dyn Fn(StoreStats) + Send + Sync>;
+pub(crate) type JobNotifier = Arc<dyn Fn(StoreStats, bool) + Send + Sync>;
 
 /// The error every job cut short by pool teardown reports (tests match on
 /// "cancelled").
@@ -370,13 +345,13 @@ impl InstanceArena {
 /// the instance arena, the wake-up delivery buffer, and a scratch vector for
 /// marshalling spawn arguments. All three keep per-iteration allocations
 /// and lock acquisitions off the warm path.
-struct WorkerCtx<S: Suspension> {
+struct WorkerCtx {
     arena: InstanceArena,
     /// Buffered wake-ups of the job currently executing. Invariant: empty
     /// between tasks — every exit path of `run_task` flushes (on progress)
     /// or clears (when the job is already failing) the buffer, so
     /// deliveries can never leak into another job.
-    delivery: Vec<(S::Waiter, Value)>,
+    delivery: Vec<(Waiter, Value)>,
     spawn_args: Vec<Value>,
 }
 
@@ -419,9 +394,9 @@ const ENTRY: InstanceId = InstanceId(0);
 
 /// Everything scoped to one submitted program execution. Queue entries
 /// reference their job through an `Arc`, so concurrent jobs on one pool have
-/// fully disjoint instance namespaces, I-structure stores, suspension
-/// state, deadlock detection, and error/result slots.
-struct Job<S: Suspension> {
+/// fully disjoint instance namespaces, I-structure stores, parked-instance
+/// maps, deadlock detection, and error/result slots.
+struct Job {
     /// 1-based submission sequence number on the owning pool.
     seq: u64,
     /// Identity of the owning pool (for reuse assertions / stats).
@@ -429,8 +404,8 @@ struct Job<S: Suspension> {
     /// Virtual-PE count for partitioning decisions (= pool worker count).
     workers: usize,
     spec: JobSpec,
-    store: SharedArrayStore<S::Waiter>,
-    suspension: S::State,
+    store: SharedArrayStore<Waiter>,
+    sched: Mutex<Sched>,
     counts: Mutex<JobCounts>,
     /// Set on first error (or cancellation): workers abandon this job's
     /// tasks instead of running them.
@@ -448,7 +423,7 @@ struct Job<S: Suspension> {
     counters: Counters,
 }
 
-impl<S: Suspension> Job<S> {
+impl Job {
     #[inline(always)]
     fn emit(&self, w: usize, inst: InstanceId, kind: TraceEventKind) {
         if let Some(t) = &self.spec.trace {
@@ -473,6 +448,7 @@ impl<S: Suspension> Job<S> {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
+        let failed = err.is_some();
         if let Some(e) = err {
             *self.error.lock().expect("error poisoned") = Some(e);
         }
@@ -480,7 +456,7 @@ impl<S: Suspension> Job<S> {
         // completion, the service metrics already include this job. No
         // locks are held here, so the hook may take the service locks.
         if let Some(hook) = &self.spec.on_done {
-            hook(self.store.stats());
+            hook(self.store.stats(), failed);
         }
         *self.done.lock().expect("done poisoned") = true;
         self.done_cv.notify_all();
@@ -521,59 +497,58 @@ impl<S: Suspension> Job<S> {
     }
 
     /// Accounting for a task abandoned because its job errored out.
-    fn abandon(&self, running: &S::Running) {
-        S::retire(running);
+    fn abandon(&self) {
         let mut c = self.counts.lock().expect("counts poisoned");
         c.in_flight -= 1;
         c.live -= 1;
     }
 
-    fn stats(&self) -> PoolStats {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let n = &self.counters;
-        PoolStats {
-            workers: self.workers,
-            instances: load(&self.next_instance),
-            tasks: load(&n.tasks),
-            parks: load(&n.parks),
-            resumptions: load(&n.resumptions),
-            steals: load(&n.steals),
-            pool_id: self.pool_id,
-            job_seq: self.seq,
-            wakeups: load(&n.wakeups),
-            wakeup_flushes: load(&n.wakeup_flushes),
-            arena_reuses: load(&n.arena_reuses),
-            chunk_iterations: load(&n.chunk_iterations),
-            super_ops: load(&n.super_ops),
-            chunks_autotuned: self.spec.chunks_autotuned,
-            store: self.store.stats(),
+    /// Delivers a batch of wake-ups under one scheduler-lock acquisition:
+    /// each value fills its parked frame, pushing the instance onto `woken`
+    /// when the awaited slot arrives, or lands in the mailbox when its
+    /// target is queued or running.
+    fn deliver(&self, batch: std::vec::Drain<'_, (Waiter, Value)>, woken: &mut Vec<Task>) {
+        let mut sched = self.sched.lock().expect("sched poisoned");
+        for ((target, slot), value) in batch {
+            if let Some(b) = sched.blocked.get_mut(&target) {
+                b.task.frame.set_slot(slot, value);
+                if b.slot == slot {
+                    let b = sched.blocked.remove(&target).expect("checked above");
+                    woken.push(b.task);
+                }
+            } else {
+                sched.mailbox.entry(target).or_default().push((slot, value));
+            }
         }
     }
-}
 
-/// The strategy-independent face of a job, behind the job handle and the
-/// canceller (per-job calls, never on the instruction path).
-trait JobControl: Send + Sync {
-    fn is_done(&self) -> bool;
-    fn fail(&self, err: SimulationError);
-    /// Blocks until the job completes and assembles its outcome, timed from
-    /// `started`.
-    fn wait(
-        &self,
-        partition: PartitionReport,
-        started: Instant,
-    ) -> Result<EngineOutcome, PodsError>;
-}
+    /// Parks the running instance on `slot`, unless a mailbox delivery that
+    /// raced the park already filled it: then the task is handed back to
+    /// keep running.
+    fn try_park(&self, mut task: Task, slot: SlotId) -> Option<Task> {
+        let mut sched = self.sched.lock().expect("sched poisoned");
+        if let Some(msgs) = sched.mailbox.remove(&task.meta.id) {
+            for (s, v) in msgs {
+                task.frame.set_slot(s, v);
+            }
+        }
+        if task.frame.is_present(slot) {
+            return Some(task);
+        }
+        // Counted under the lock, before any delivery can resume the
+        // instance: a wake-up may complete the whole job before this worker
+        // returns, and the job's stats must already include this park.
+        self.counters.parks.fetch_add(1, Ordering::Relaxed);
+        sched.blocked.insert(task.meta.id, Blocked { task, slot });
+        None
+    }
 
-impl<S: Suspension> JobControl for Job<S> {
     fn is_done(&self) -> bool {
         *self.done.lock().expect("done poisoned")
     }
 
-    fn fail(&self, err: SimulationError) {
-        Job::fail(self, err);
-    }
-
+    /// Blocks until the job completes and assembles its outcome, timed from
+    /// `started`.
     fn wait(
         &self,
         partition: PartitionReport,
@@ -600,21 +575,46 @@ impl<S: Suspension> JobControl for Job<S> {
             })
             .collect();
         Ok(EngineOutcome {
-            engine: S::NAME,
+            engine: EngineKind::Native.name(),
             return_value: self.result.lock().expect("result poisoned").take(),
             arrays,
             modelled_us: None,
             wall_us,
-            stats: S::engine_stats(self.stats(), partition),
+            stats: EngineStats::Native {
+                stats: self.stats(),
+                partition,
+            },
             diagnostics: None,
         })
+    }
+
+    fn stats(&self) -> PoolStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let n = &self.counters;
+        PoolStats {
+            workers: self.workers,
+            instances: load(&self.next_instance),
+            tasks: load(&n.tasks),
+            parks: load(&n.parks),
+            resumptions: load(&n.resumptions),
+            steals: load(&n.steals),
+            pool_id: self.pool_id,
+            job_seq: self.seq,
+            wakeups: load(&n.wakeups),
+            wakeup_flushes: load(&n.wakeup_flushes),
+            arena_reuses: load(&n.arena_reuses),
+            chunk_iterations: load(&n.chunk_iterations),
+            super_ops: load(&n.super_ops),
+            chunks_autotuned: self.spec.chunks_autotuned,
+            store: self.store.stats(),
+        }
     }
 }
 
 /// A runnable unit on the pool: one task of one job.
-struct Entry<S: Suspension> {
-    job: Arc<Job<S>>,
-    task: S::Task,
+struct Entry {
+    job: Arc<Job>,
+    task: Task,
 }
 
 /// Pool-wide scheduling state shared by the workers and submitters.
@@ -627,14 +627,14 @@ struct PoolCoord {
 }
 
 /// Process-unique pool identities, so tests (and users) can assert that two
-/// runs really shared one set of worker threads. No two pools of either
-/// strategy ever report the same id.
+/// runs really shared one set of worker threads. No two pools ever report
+/// the same id.
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
-struct PoolShared<S: Suspension> {
+struct PoolShared {
     id: u64,
     workers: usize,
-    queues: Vec<Mutex<VecDeque<Entry<S>>>>,
+    queues: Vec<Mutex<VecDeque<Entry>>>,
     coord: Mutex<PoolCoord>,
     cv: Condvar,
     jobs_submitted: AtomicU64,
@@ -645,7 +645,7 @@ struct PoolShared<S: Suspension> {
     stop: AtomicBool,
 }
 
-impl<S: Suspension> PoolShared<S> {
+impl PoolShared {
     fn lock_coord(&self) -> std::sync::MutexGuard<'_, PoolCoord> {
         self.coord.lock().expect("coord poisoned")
     }
@@ -656,8 +656,8 @@ impl<S: Suspension> PoolShared<S> {
     fn enqueue(
         &self,
         w: usize,
-        job: &Arc<Job<S>>,
-        tasks: impl ExactSizeIterator<Item = S::Task>,
+        job: &Arc<Job>,
+        tasks: impl ExactSizeIterator<Item = Task>,
         new: bool,
     ) {
         let n = tasks.len();
@@ -673,7 +673,7 @@ impl<S: Suspension> PoolShared<S> {
             let mut q = self.queues[w].lock().expect("queue poisoned");
             for task in tasks {
                 if !new {
-                    job.emit(w, S::task_id(&task), TraceEventKind::Resumed);
+                    job.emit(w, task.meta.id, TraceEventKind::Resumed);
                 }
                 q.push_back(Entry {
                     job: Arc::clone(job),
@@ -692,11 +692,11 @@ impl<S: Suspension> PoolShared<S> {
     fn spawn(
         &self,
         w: usize,
-        job: &Arc<Job<S>>,
+        job: &Arc<Job>,
         template: SpId,
         args: &[Value],
         pe: usize,
-        return_to: Option<S::Waiter>,
+        return_to: Option<Waiter>,
         arena: &mut InstanceArena,
     ) {
         let id = InstanceId(job.next_instance.fetch_add(1, Ordering::Relaxed));
@@ -711,13 +711,16 @@ impl<S: Suspension> PoolShared<S> {
             pe,
             return_to,
         };
-        let task = S::task(meta, Frame { pc: 0, slots });
+        let task = Task {
+            meta,
+            frame: Frame { pc: 0, slots },
+        };
         self.enqueue(w, job, std::iter::once(task), true);
     }
 
     /// Pops the next task: own deque first (LIFO end for locality), then
     /// steal from siblings (FIFO end, taking the oldest work).
-    fn pop_task(&self, w: usize) -> Option<Entry<S>> {
+    fn pop_task(&self, w: usize) -> Option<Entry> {
         let own = self.queues[w].lock().expect("queue poisoned").pop_back();
         let entry = own.or_else(|| {
             (1..self.workers).find_map(|i| {
@@ -730,7 +733,7 @@ impl<S: Suspension> PoolShared<S> {
                     e.job.counters.steals.fetch_add(1, Ordering::Relaxed);
                     let from = victim as u32;
                     e.job
-                        .emit(w, S::task_id(&e.task), TraceEventKind::Steal { from });
+                        .emit(w, e.task.meta.id, TraceEventKind::Steal { from });
                 }
                 stolen
             })
@@ -741,13 +744,13 @@ impl<S: Suspension> PoolShared<S> {
         entry
     }
 
-    /// Delivers every buffered wake-up of `buf` in one strategy transaction
-    /// and enqueues everything that woke in one more. Called when the
-    /// buffer reaches the job's `delivery_batch` and at every task boundary
-    /// (park, finish), so batching changes *when* locks are taken, never
-    /// *whether* a wake-up happens before the liveness counters can observe
-    /// the task as idle.
-    fn flush(&self, w: usize, job: &Arc<Job<S>>, buf: &mut Vec<(S::Waiter, Value)>) {
+    /// Delivers every buffered wake-up of `buf` in one scheduler-lock
+    /// transaction and enqueues everything that woke in one more. Called
+    /// when the buffer reaches the job's `delivery_batch` and at every task
+    /// boundary (park, finish), so batching changes *when* locks are taken,
+    /// never *whether* a wake-up happens before the liveness counters can
+    /// observe the task as idle.
+    fn flush(&self, w: usize, job: &Arc<Job>, buf: &mut Vec<(Waiter, Value)>) {
         if buf.is_empty() {
             return;
         }
@@ -756,7 +759,7 @@ impl<S: Suspension> PoolShared<S> {
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
         job.counters.wakeup_flushes.fetch_add(1, Ordering::Relaxed);
         let mut woken = Vec::new();
-        S::deliver(&job.suspension, buf.drain(..), &mut woken);
+        job.deliver(buf.drain(..), &mut woken);
         if woken.is_empty() {
             return;
         }
@@ -772,17 +775,15 @@ impl<S: Suspension> PoolShared<S> {
     fn finish(
         &self,
         w: usize,
-        job: &Arc<Job<S>>,
-        running: &S::Running,
+        job: &Arc<Job>,
+        meta: &InstMeta,
         value: Option<Value>,
-        delivery: &mut Vec<(S::Waiter, Value)>,
+        delivery: &mut Vec<(Waiter, Value)>,
     ) {
-        S::retire(running);
-        let meta = S::meta(running);
         if meta.id == ENTRY {
             *job.result.lock().expect("result poisoned") = value;
-        } else if let (Some(ret), Some(v)) = (&meta.return_to, value) {
-            delivery.push((ret.clone(), v));
+        } else if let (Some(ret), Some(v)) = (meta.return_to, value) {
+            delivery.push((ret, v));
         }
         self.flush(w, job, delivery);
         job.release(None);
@@ -791,7 +792,7 @@ impl<S: Suspension> PoolShared<S> {
     /// Runs one task until its instance finishes, parks, or its job stops.
     /// The instruction semantics live in the shared core
     /// ([`pods_sp::exec::run_instance`]); the pool supplies the mechanics
-    /// and `S` the park/resume.
+    /// and the park/resume.
     ///
     /// Delivery-buffer discipline: `ctx.delivery` is empty on entry and on
     /// every return. Progress exits (park, finish) *flush* — buffered
@@ -801,19 +802,18 @@ impl<S: Suspension> PoolShared<S> {
     /// and its waiters are released by `fail`, but the buffer must not leak
     /// into the next task, which may belong to another job. The frame goes
     /// back to the worker's arena on every terminal exit.
-    fn run_task(&self, job: &Arc<Job<S>>, task: S::Task, w: usize, ctx: &mut WorkerCtx<S>) {
+    fn run_task(&self, job: &Arc<Job>, mut task: Task, w: usize, ctx: &mut WorkerCtx) {
         debug_assert!(ctx.delivery.is_empty(), "delivery buffer leaked a task");
-        let (mut running, mut frame) = S::begin(task);
         let executed = job.counters.tasks.fetch_add(1, Ordering::Relaxed) + 1;
         if job.spec.max_tasks > 0 && executed > job.spec.max_tasks {
             job.fail(SimulationError::EventLimitExceeded {
                 limit: job.spec.max_tasks,
             });
-            job.abandon(&running);
-            ctx.arena.recycle(frame.slots);
+            job.abandon();
+            ctx.arena.recycle(task.frame.slots);
             return;
         }
-        let (id, template_id) = (S::meta(&running).id, S::meta(&running).template);
+        let (id, template_id) = (task.meta.id, task.meta.template);
         let program = Arc::clone(&job.spec.program);
         let template = program.template(template_id);
         let slot_table = &job.spec.read_slots[template_id.index()];
@@ -826,8 +826,8 @@ impl<S: Suspension> PoolShared<S> {
                 let mut cx = PoolCtx {
                     pool: self,
                     job,
-                    running: &running,
-                    frame: &mut frame,
+                    meta: &task.meta,
+                    frame: &mut task.frame,
                     cache: &mut cache,
                     w,
                     worker: ctx,
@@ -844,8 +844,8 @@ impl<S: Suspension> PoolShared<S> {
             job.emit(w, id, TraceEventKind::RunEnd);
             let err = match exit {
                 Ok(RunExit::Finished(v)) => {
-                    self.finish(w, job, &running, v, &mut ctx.delivery);
-                    ctx.arena.recycle(frame.slots);
+                    self.finish(w, job, &task.meta, v, &mut ctx.delivery);
+                    ctx.arena.recycle(task.frame.slots);
                     return;
                 }
                 Ok(RunExit::Blocked(slot)) => {
@@ -853,17 +853,16 @@ impl<S: Suspension> PoolShared<S> {
                     let parked = Suspended {
                         inst: id,
                         template: template_id,
-                        pc: frame.pc,
+                        pc: task.frame.pc,
                         slot,
                     };
-                    match S::try_suspend(&job.suspension, running, frame, slot) {
+                    match job.try_park(task, slot) {
                         Some(resumed) => {
                             job.emit(w, id, TraceEventKind::RunBegin);
-                            (running, frame) = resumed;
+                            task = resumed;
                             continue;
                         }
                         None => {
-                            job.counters.parks.fetch_add(1, Ordering::Relaxed);
                             job.release(Some(parked));
                             return;
                         }
@@ -880,15 +879,15 @@ impl<S: Suspension> PoolShared<S> {
             if let Some(err) = err {
                 job.fail(err);
             }
-            job.abandon(&running);
+            job.abandon();
             ctx.delivery.clear();
-            ctx.arena.recycle(frame.slots);
+            ctx.arena.recycle(task.frame.slots);
             return;
         }
     }
 
     fn worker(&self, w: usize) {
-        let mut ctx = WorkerCtx::<S> {
+        let mut ctx = WorkerCtx {
             arena: InstanceArena::default(),
             delivery: Vec::new(),
             spawn_args: Vec::new(),
@@ -927,21 +926,21 @@ impl<S: Suspension> PoolShared<S> {
 /// wake-up delivery), the worker-local spawn scratch and frame arena, and
 /// the job/pool stop flags. Costs are free (`charge` keeps its no-op
 /// default): the only honest clock here is the wall.
-struct PoolCtx<'a, S: Suspension> {
-    pool: &'a PoolShared<S>,
-    job: &'a Arc<Job<S>>,
-    running: &'a S::Running,
+struct PoolCtx<'a> {
+    pool: &'a PoolShared,
+    job: &'a Arc<Job>,
+    meta: &'a InstMeta,
     frame: &'a mut Frame,
-    cache: &'a mut ArrayCache<S::Waiter>,
+    cache: &'a mut ArrayCache<Waiter>,
     w: usize,
-    worker: &'a mut WorkerCtx<S>,
+    worker: &'a mut WorkerCtx,
     /// Super-op firings this run segment, flushed to the job counter on
     /// drop — one atomic per segment instead of one per firing, which is
     /// too hot a path for a shared cache line.
     super_ops: u64,
 }
 
-impl<S: Suspension> Drop for PoolCtx<'_, S> {
+impl Drop for PoolCtx<'_> {
     fn drop(&mut self) {
         if self.super_ops > 0 {
             self.job
@@ -952,7 +951,7 @@ impl<S: Suspension> Drop for PoolCtx<'_, S> {
     }
 }
 
-impl<S: Suspension> ArrayOps for PoolCtx<'_, S> {
+impl ArrayOps for PoolCtx<'_> {
     fn alloc_array(
         &mut self,
         dst: SlotId,
@@ -966,7 +965,7 @@ impl<S: Suspension> ArrayOps for PoolCtx<'_, S> {
         let partitioning = if distributed {
             Partitioning::new(total, page_size, workers)
         } else {
-            let pe = PeId(S::meta(self.running).pe);
+            let pe = PeId(self.meta.pe);
             Partitioning::single_owner(total, page_size, workers, pe)
         };
         self.job
@@ -994,13 +993,13 @@ impl<S: Suspension> ArrayOps for PoolCtx<'_, S> {
     fn load_element(&mut self, id: ArrayId, offset: usize, dst: SlotId) -> Result<Loaded, String> {
         let shared = self.cache.get(&self.job.store, id)?;
         match shared
-            .read(offset, S::waiter(self.running, dst))
+            .read(offset, self.meta.waiter(dst))
             .map_err(|e| e.to_string())?
         {
             SharedReadResult::Present(v) => Ok(Loaded::Ready(v)),
-            // The producing write will deliver into `dst` through the
-            // suspension strategy; split-phase, so the core keeps the
-            // instance running until the value is consumed.
+            // The producing write will deliver into `dst`; split-phase, so
+            // the core keeps the instance running until the value is
+            // consumed.
             SharedReadResult::Deferred => Ok(Loaded::Deferred),
         }
     }
@@ -1022,7 +1021,7 @@ impl<S: Suspension> ArrayOps for PoolCtx<'_, S> {
     }
 }
 
-impl<S: Suspension> ExecCtx for PoolCtx<'_, S> {
+impl ExecCtx for PoolCtx<'_> {
     #[inline(always)]
     fn pc(&self) -> usize {
         self.frame.pc
@@ -1050,7 +1049,7 @@ impl<S: Suspension> ExecCtx for PoolCtx<'_, S> {
 
     #[inline(always)]
     fn pe(&self) -> usize {
-        S::meta(self.running).pe
+        self.meta.pe
     }
 
     #[inline(always)]
@@ -1084,12 +1083,12 @@ impl<S: Suspension> ExecCtx for PoolCtx<'_, S> {
         let mut buf = std::mem::take(&mut self.worker.spawn_args);
         buf.clear();
         buf.extend(args.iter().map(|a| self.operand(a)));
-        let ret = return_to.map(|slot| S::waiter(self.running, slot));
-        let pe = S::meta(self.running).pe;
+        let ret = return_to.map(|slot| self.meta.waiter(slot));
+        let pe = self.meta.pe;
         let arena = &mut self.worker.arena;
         if distributed {
             for q in 0..self.job.workers {
-                let ret_here = if q == pe { ret.clone() } else { None };
+                let ret_here = if q == pe { ret } else { None };
                 self.pool
                     .spawn(self.w, self.job, target, &buf, q, ret_here, arena);
             }
@@ -1111,10 +1110,10 @@ impl<S: Suspension> ExecCtx for PoolCtx<'_, S> {
     }
 }
 
-impl<S: Suspension> TraceSink for PoolCtx<'_, S> {
+impl TraceSink for PoolCtx<'_> {
     fn exec_event(&mut self, _pe: usize, ev: ExecEvent) {
-        let id = S::meta(self.running).id;
-        self.job.emit(self.w, id, TraceEventKind::from_exec(ev));
+        self.job
+            .emit(self.w, self.meta.id, TraceEventKind::from_exec(ev));
     }
 }
 
@@ -1123,12 +1122,12 @@ impl<S: Suspension> TraceSink for PoolCtx<'_, S> {
 /// or concurrently. Dropping the pool joins the threads; outstanding jobs —
 /// queued or in flight — are cut short (at the next instruction boundary)
 /// and fail with a cancellation error rather than hanging their waiters.
-pub(crate) struct Pool<S: Suspension> {
-    shared: Arc<PoolShared<S>>,
+pub(crate) struct Pool {
+    shared: Arc<PoolShared>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl<S: Suspension> Pool<S> {
+impl Pool {
     /// Spawns a pool of `workers` threads (at least one).
     pub(crate) fn new(workers: usize) -> Self {
         let workers = workers.max(1);
@@ -1148,7 +1147,7 @@ impl<S: Suspension> Pool<S> {
             .map(|w| {
                 let s = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("pods-{}-{}-{w}", S::NAME, shared.id))
+                    .name(format!("pods-native-{}-{w}", shared.id))
                     .spawn(move || s.worker(w))
                     .expect("spawn pool worker")
             })
@@ -1163,8 +1162,8 @@ impl<S: Suspension> Pool<S> {
 
     /// Submits one prepared program for execution and returns a handle to
     /// wait on. The program state in the [`JobSpec`] is `Arc`-shared, so a
-    /// warm submission allocates only per-job state (store, suspension
-    /// state, counters) — no program clone, no re-partition, no read-slot
+    /// warm submission allocates only per-job state (store, parked-instance
+    /// map, counters) — no program clone, no re-partition, no read-slot
     /// rebuild. The entry instance is placed on a rotating home worker so
     /// that concurrent jobs spread across the pool.
     pub(crate) fn submit(&self, mut spec: JobSpec, args: &[Value]) -> PoolHandle {
@@ -1176,13 +1175,13 @@ impl<S: Suspension> Pool<S> {
         let partition = std::mem::take(&mut spec.partition);
         spec.delivery_batch = spec.delivery_batch.max(1);
         let entry_template = spec.program.entry();
-        let job = Arc::new(Job::<S> {
+        let job = Arc::new(Job {
             seq,
             pool_id: self.shared.id,
             workers: self.shared.workers,
             spec,
             store: SharedArrayStore::new(),
-            suspension: S::State::default(),
+            sched: Mutex::default(),
             counts: Mutex::new(JobCounts::default()),
             stop: AtomicBool::new(false),
             error: Mutex::new(None),
@@ -1208,7 +1207,7 @@ impl<S: Suspension> Pool<S> {
     }
 }
 
-impl<S: Suspension> Drop for Pool<S> {
+impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         {
@@ -1231,7 +1230,7 @@ impl<S: Suspension> Drop for Pool<S> {
 /// A handle to one submitted job. `wait` blocks until the job completes and
 /// assembles the uniform [`EngineOutcome`].
 pub(crate) struct PoolHandle {
-    job: Arc<dyn JobControl>,
+    job: Arc<Job>,
     partition: PartitionReport,
     started: Instant,
 }
@@ -1261,7 +1260,7 @@ impl PoolHandle {
 /// teardown uses. A no-op if the job already finished.
 #[derive(Clone)]
 pub(crate) struct PoolCanceller {
-    job: Arc<dyn JobControl>,
+    job: Arc<Job>,
 }
 
 impl PoolCanceller {
@@ -1273,320 +1272,5 @@ impl PoolCanceller {
     /// Stops the job with `err` unless it already finished.
     pub(crate) fn cancel(&self, err: SimulationError) {
         self.job.fail(err);
-    }
-}
-
-/// Instantiates the shared strategy-generic test bodies of [`tests`] for one
-/// [`Suspension`]: `strategy_tests! { S; test_name => body, ... }` makes
-/// `#[test] fn test_name()` run `tests::body::<S>()`.
-#[cfg(test)]
-macro_rules! strategy_tests {
-    ($strategy:ty; $($name:ident => $body:ident),* $(,)?) => {
-        $(
-            #[test]
-            fn $name() {
-                $crate::engine::pool::tests::$body::<$strategy>();
-            }
-        )*
-    };
-}
-#[cfg(test)]
-pub(crate) use strategy_tests;
-
-/// Test bodies every suspension strategy must pass, instantiated per
-/// strategy by [`strategy_tests!`] in the strategy's own module.
-#[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
-    use crate::pipeline::{compile, CompiledProgram, RunOptions};
-
-    /// A job spec for one submission of `program`, prepared on the spot.
-    fn spec(program: &CompiledProgram, opts: &RunOptions) -> JobSpec {
-        let (partitioned, partition) = program.partitioned(opts);
-        let read_slots = build_read_slots(&partitioned);
-        JobSpec {
-            program: Arc::new(partitioned),
-            read_slots: Arc::new(read_slots),
-            partition,
-            page_size: opts.page_size,
-            max_tasks: opts.max_events,
-            delivery_batch: opts.delivery_batch.max(1),
-            chunks_autotuned: 0,
-            on_done: None,
-            trace: None,
-        }
-    }
-
-    /// One job on a pool of `opts.num_pes` workers spawned for it.
-    fn run_job<S: Suspension>(
-        src: &str,
-        args: &[Value],
-        opts: &RunOptions,
-    ) -> Result<EngineOutcome, PodsError> {
-        let program = compile(src).unwrap();
-        Pool::<S>::new(opts.num_pes)
-            .submit(spec(&program, opts), args)
-            .wait()
-    }
-
-    fn run<S: Suspension>(src: &str, args: &[Value], opts: &RunOptions) -> EngineOutcome {
-        run_job::<S>(src, args, opts).unwrap()
-    }
-
-    fn run_err<S: Suspension>(src: &str, n: i64, opts: &RunOptions) -> SimulationError {
-        match run_job::<S>(src, &[Value::Int(n)], opts) {
-            Err(PodsError::Simulation(e)) => e,
-            other => panic!("{}: expected a run-time failure, got {other:?}", S::NAME),
-        }
-    }
-
-    fn stats<S: Suspension>(outcome: &EngineOutcome) -> PoolStats {
-        assert_eq!(outcome.engine, S::NAME);
-        match &outcome.stats {
-            EngineStats::Native { stats, .. } | EngineStats::AsyncCoop { stats, .. } => *stats,
-            other => panic!("expected pool stats, got {other:?}"),
-        }
-    }
-
-    pub(crate) fn scalar_and_function_calls<S: Suspension>() {
-        let outcome = run::<S>(
-            "def main(n) { x = double(n); return x + 1; } def double(v) { return v * 2; }",
-            &[Value::Int(10)],
-            &RunOptions::with_pes(2),
-        );
-        assert_eq!(outcome.return_value, Some(Value::Int(21)));
-        let stats = stats::<S>(&outcome);
-        assert_eq!(stats.workers, 2);
-        assert!(stats.instances >= 2);
-        assert!(stats.tasks >= stats.instances);
-    }
-
-    pub(crate) fn distributed_fill_is_complete<S: Suspension>() {
-        let src = r#"
-            def main(n) {
-                a = matrix(n, n);
-                for i = 0 to n - 1 {
-                    for j = 0 to n - 1 { a[i, j] = i * n + j; }
-                }
-                return a;
-            }
-        "#;
-        let reference = run::<S>(src, &[Value::Int(8)], &RunOptions::with_pes(1));
-        let expected = reference.returned_array().unwrap().to_f64(-1.0);
-        for workers in [2, 4, 8] {
-            let outcome = run::<S>(src, &[Value::Int(8)], &RunOptions::with_pes(workers));
-            let a = outcome.returned_array().unwrap();
-            assert!(a.is_complete(), "incomplete on {workers} workers");
-            assert_eq!(
-                a.to_f64(-1.0),
-                expected,
-                "wrong values on {workers} workers"
-            );
-        }
-    }
-
-    pub(crate) fn consumers_wait_for_producers<S: Suspension>() {
-        let src = r#"
-            def main(n) {
-                a = array(n);
-                for i = 0 to n - 1 { a[i] = i * 2; }
-                s = a[n - 1] + a[0];
-                return s;
-            }
-        "#;
-        let outcome = run::<S>(src, &[Value::Int(10)], &RunOptions::with_pes(4));
-        assert_eq!(outcome.return_value, Some(Value::Int(18)));
-        let stats = stats::<S>(&outcome);
-        // Every park of a completed run was resumed by a delivery.
-        assert_eq!(stats.parks, stats.resumptions);
-        assert!(stats.tasks >= stats.instances + stats.resumptions);
-    }
-
-    pub(crate) fn carried_recurrence<S: Suspension>() {
-        let src = r#"
-            def main(n) {
-                src = array(n);
-                for i = 0 to n - 1 { src[i] = i * 1.0; }
-                acc = array(n);
-                acc[0] = src[0];
-                for i = 1 to n - 1 { acc[i] = acc[i - 1] + src[i]; }
-                return acc;
-            }
-        "#;
-        let outcome = run::<S>(src, &[Value::Int(16)], &RunOptions::with_pes(4));
-        let acc = outcome.returned_array().unwrap();
-        assert!(acc.is_complete());
-        assert_eq!(acc.get(&[15]), Some(Value::Float(120.0)));
-    }
-
-    pub(crate) fn single_assignment_violation<S: Suspension>() {
-        let src = "def main(n) { a = array(n); for i = 0 to n - 1 { a[0] = i; } return 0; }";
-        let err = run_err::<S>(src, 4, &RunOptions::with_pes(1));
-        assert!(matches!(err, SimulationError::Runtime(_)), "{err}");
-    }
-
-    pub(crate) fn never_written_read_deadlocks<S: Suspension>() {
-        let src = "def main(n) { a = array(n); a[0] = 1; return a[1]; }";
-        for workers in [1, 4] {
-            let err = run_err::<S>(src, 4, &RunOptions::with_pes(workers));
-            let SimulationError::Deadlock { detail, .. } = &err else {
-                panic!("workers={workers}: expected deadlock, got {err}");
-            };
-            assert!(
-                detail.contains("awaiting"),
-                "deadlock detail must name the awaited slot: {detail}"
-            );
-        }
-    }
-
-    pub(crate) fn task_limit_aborts_runaway_runs<S: Suspension>() {
-        let src = "def main(n) { a = matrix(n, n); for i = 0 to n - 1 { for j = 0 to n - 1 { a[i, j] = i + j; } } return a; }";
-        let mut opts = RunOptions::with_pes(2);
-        opts.max_events = 3;
-        let err = run_err::<S>(src, 8, &opts);
-        assert!(
-            matches!(err, SimulationError::EventLimitExceeded { limit: 3 }),
-            "{err}"
-        );
-    }
-
-    pub(crate) fn out_of_bounds_store_is_reported<S: Suspension>() {
-        let src = "def main(n) { a = array(n); a[n + 5] = 1; return 0; }";
-        let err = run_err::<S>(src, 4, &RunOptions::with_pes(2));
-        assert!(matches!(err, SimulationError::Runtime(_)), "{err}");
-    }
-
-    pub(crate) fn one_pool_runs_many_jobs<S: Suspension>() {
-        // Submit several jobs of different programs to one pool before
-        // waiting on any of them: per-job stores and suspension state must
-        // not cross-talk, and job sequence numbers must be distinct.
-        let fill =
-            compile("def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i * 3; } return a; }")
-                .unwrap();
-        let scalar = compile("def main(n) { return n * 7; }").unwrap();
-        let pool = Pool::<S>::new(4);
-        let opts = RunOptions::with_pes(4);
-        let mut handles = Vec::new();
-        for k in 0..6i64 {
-            let (program, args) = if k % 2 == 0 {
-                (&fill, vec![Value::Int(8 + k)])
-            } else {
-                (&scalar, vec![Value::Int(k)])
-            };
-            handles.push((k, pool.submit(spec(program, &opts), &args)));
-        }
-        let mut seqs = Vec::new();
-        for (k, handle) in handles {
-            let outcome = handle.wait().unwrap();
-            if k % 2 == 0 {
-                let a = outcome.returned_array().unwrap();
-                assert!(a.is_complete(), "job {k} incomplete");
-                assert_eq!(a.get(&[2]), Some(Value::Int(6)), "job {k}");
-            } else {
-                assert_eq!(outcome.return_value, Some(Value::Int(k * 7)), "job {k}");
-            }
-            let stats = stats::<S>(&outcome);
-            assert_eq!(stats.pool_id, pool.id());
-            seqs.push(stats.job_seq);
-        }
-        seqs.sort_unstable();
-        assert_eq!(seqs, vec![1, 2, 3, 4, 5, 6]);
-    }
-
-    pub(crate) fn a_failing_job_does_not_poison_the_pool<S: Suspension>() {
-        let bad = compile("def main(n) { a = array(n); a[0] = 1; return a[1]; }").unwrap();
-        let good = compile("def main(n) { return n + 1; }").unwrap();
-        let pool = Pool::<S>::new(2);
-        let opts = RunOptions::with_pes(2);
-        let bad_handle = pool.submit(spec(&bad, &opts), &[Value::Int(4)]);
-        let good_handle = pool.submit(spec(&good, &opts), &[Value::Int(4)]);
-        assert!(bad_handle.wait().is_err());
-        assert_eq!(
-            good_handle.wait().unwrap().return_value,
-            Some(Value::Int(5))
-        );
-        // And the pool still accepts new work after a failure.
-        let again = pool.submit(spec(&good, &opts), &[Value::Int(9)]);
-        assert_eq!(again.wait().unwrap().return_value, Some(Value::Int(10)));
-    }
-
-    pub(crate) fn batched_delivery_coalesces_flushes<S: Suspension>() {
-        // Sixteen split-phase probe calls park on unwritten elements, then
-        // one producer-loop task writes all of them. The producer is
-        // spawned *first*, so on one worker's LIFO deque the probes run
-        // (and defer) before it: its writes then deliver 16 wake-ups from
-        // a single task. Unbatched (batch = 1) that is one delivery
-        // transaction per write; batch = 16 coalesces them into one. The
-        // right-nested sum keeps all 16 spawns split-phase (no Move needs a
-        // return value until every probe is in flight).
-        let src = r#"
-            def main(n) {
-                a = array(n);
-                for i = 0 to n - 1 { a[i] = i * 3; }
-                return probe(a, 0) + (probe(a, 1) + (probe(a, 2) + (probe(a, 3)
-                     + (probe(a, 4) + (probe(a, 5) + (probe(a, 6) + (probe(a, 7)
-                     + (probe(a, 8) + (probe(a, 9) + (probe(a, 10) + (probe(a, 11)
-                     + (probe(a, 12) + (probe(a, 13) + (probe(a, 14) + probe(a, 15)
-                     ))))))))))))));
-            }
-            def probe(a, i) { return a[i] + 1; }
-        "#;
-        let expected = (0..16).map(|i| i * 3 + 1).sum::<i64>();
-        let stats_for = |batch: usize| {
-            let mut opts = RunOptions::with_pes(1);
-            opts.delivery_batch = batch;
-            let outcome = run::<S>(src, &[Value::Int(16)], &opts);
-            assert_eq!(
-                outcome.return_value,
-                Some(Value::Int(expected)),
-                "batch={batch}"
-            );
-            stats::<S>(&outcome)
-        };
-        let unbatched = stats_for(1);
-        let batched = stats_for(16);
-        assert_eq!(
-            unbatched.wakeups, batched.wakeups,
-            "batching must not change how many wake-ups are delivered"
-        );
-        assert!(
-            unbatched.wakeups >= 32,
-            "expected 16 deferred reads + 16 returns, got {}",
-            unbatched.wakeups
-        );
-        // Both modes pay one forced flush per probe return (a task
-        // boundary); the contrast is the producer's 16 array wake-ups — 16
-        // transactions unbatched, 1 batched.
-        assert!(
-            batched.wakeup_flushes + 8 <= unbatched.wakeup_flushes,
-            "batch=16 should need fewer delivery transactions: {} vs {}",
-            batched.wakeup_flushes,
-            unbatched.wakeup_flushes
-        );
-    }
-
-    pub(crate) fn worker_arena_recycles_frames<S: Suspension>() {
-        // One probe instance per iteration, sequentially: spawn, run,
-        // finish, spawn the next. After the first frame is recycled every
-        // later spawn reuses it, so reuse grows with n.
-        let src = r#"
-            def main(n) {
-                a = array(n);
-                s = array(n);
-                for i = 0 to n - 1 { a[i] = i * 3; }
-                for i = 0 to n - 1 { s[i] = probe(a, i); }
-                return s;
-            }
-            def probe(a, i) { return a[i] + 1; }
-        "#;
-        let mut opts = RunOptions::with_pes(1);
-        opts.delivery_batch = 16;
-        let stats = stats::<S>(&run::<S>(src, &[Value::Int(64)], &opts));
-        assert!(
-            stats.arena_reuses > 32,
-            "expected recycled instance frames, got {} (instances {})",
-            stats.arena_reuses,
-            stats.instances
-        );
     }
 }

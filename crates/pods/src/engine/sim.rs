@@ -15,7 +15,7 @@ use std::time::Instant;
 /// With `trace`, the runtime's flight recorder is attached: the shared exec
 /// core's events (suspensions, deferred loads, chunk advances) are recorded
 /// on the lane of the simulated PE that produced them, exactly as the
-/// pooled engines record theirs.
+/// pooled engine records its own.
 pub(crate) fn run(
     program: &CompiledProgram,
     args: &[Value],

@@ -41,7 +41,7 @@ pub struct RunOptions {
     /// never delays a wake-up past the point where the scheduler could
     /// mistake the job for idle. Ignored by the modelled engines.
     pub delivery_batch: usize,
-    /// Pooled engines only: wall-clock budget per job, measured from
+    /// Pooled engine only: wall-clock budget per job, measured from
     /// submission. A job still queued when its deadline passes is cancelled
     /// before dispatch; a running job is stopped at its next instruction
     /// boundary. Either way `JobHandle::wait` reports

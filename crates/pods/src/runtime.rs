@@ -4,7 +4,7 @@
 //! The paper's thesis is that iteration-level parallelism pays off when
 //! spawn overhead is amortised. A `Runtime` separates program construction
 //! from execution the way Timely Dataflow's `execute` layer does: build it
-//! once (for the pooled engines that spawns the worker pool), then `run`
+//! once (for the pooled engine that spawns the worker pool), then `run`
 //! any number of compiled programs (or argument sets) against the *same*
 //! persistent pool. A runtime is the only owner of a pool, so the cost of a
 //! cold run is exactly the cost of building and dropping a runtime.
@@ -58,7 +58,7 @@
 
 use crate::engine::{
     build_read_slots, pr, seq, sim, EngineKind, EngineOutcome, EngineStats, JobSpec, Pool,
-    PoolHandle, ReadSlots, Registry, Waker,
+    PoolHandle, ReadSlots,
 };
 use crate::error::PodsError;
 use crate::pipeline::{CompiledProgram, RunOptions};
@@ -203,7 +203,7 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Bounds the admission queue of the pooled runtimes at `jobs` queued
+    /// Bounds the admission queue of the pooled runtime at `jobs` queued
     /// submissions (default `0` = unbounded). At capacity,
     /// [`Runtime::try_submit`] rejects immediately with
     /// [`PodsError::QueueFull`], [`Runtime::submit_timeout`] blocks up to
@@ -263,13 +263,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Builds the runtime. For the pooled kinds ([`EngineKind::Native`],
-    /// [`EngineKind::AsyncCoop`]) this spawns the persistent worker pool
-    /// immediately, so the first `run` is already warm.
+    /// Builds the runtime. For the pooled kind ([`EngineKind::Native`])
+    /// this spawns the persistent worker pool immediately, so the first
+    /// `run` is already warm.
     pub fn build(self) -> Runtime {
         let backend = Arc::new(match self.kind {
-            EngineKind::Native => Backend::Native(Pool::new(self.opts.num_pes)),
-            EngineKind::AsyncCoop => Backend::Async(Pool::new(self.opts.num_pes)),
+            EngineKind::Native => Backend::Pooled(Pool::new(self.opts.num_pes)),
             _ => Backend::Modelled,
         });
         let metrics = Arc::new(MetricsRegistry::new(self.admission_capacity));
@@ -352,18 +351,15 @@ pub(crate) enum Backend {
     /// The modelled engines (`sim`, `seq`, `pr`) run eagerly on the
     /// calling thread; there is nothing to keep warm.
     Modelled,
-    /// The work-stealing pool with registry suspension (`native`).
-    Native(Pool<Registry>),
-    /// The work-stealing pool with waker suspension (`async`).
-    Async(Pool<Waker>),
+    /// The work-stealing worker pool (`native`).
+    Pooled(Pool),
 }
 
 impl Backend {
     /// Hands one job to the pooled backend (dispatcher-only path).
     pub(crate) fn submit_pooled(&self, spec: JobSpec, args: &[Value]) -> PoolHandle {
         match self {
-            Backend::Native(pool) => pool.submit(spec, args),
-            Backend::Async(pool) => pool.submit(spec, args),
+            Backend::Pooled(pool) => pool.submit(spec, args),
             Backend::Modelled => unreachable!("modelled backends take no pooled jobs"),
         }
     }
@@ -417,8 +413,7 @@ impl Runtime {
     pub fn pool_id(&self) -> Option<u64> {
         match &*self.backend {
             Backend::Modelled => None,
-            Backend::Native(pool) => Some(pool.id()),
-            Backend::Async(pool) => Some(pool.id()),
+            Backend::Pooled(pool) => Some(pool.id()),
         }
     }
 
@@ -528,7 +523,6 @@ impl Runtime {
         // it only pays while there is slack left to spend.
         let instances = match &outcome.stats {
             EngineStats::Native { stats, .. } => stats.instances,
-            EngineStats::AsyncCoop { stats, .. } => stats.instances,
             _ => return,
         };
         if instances <= (self.workers() as u64).saturating_mul(2) {
@@ -587,10 +581,10 @@ impl Runtime {
     /// Submits one program for execution and returns a [`JobHandle`].
     /// Accepts a raw `&CompiledProgram` or a [`PreparedProgram`] handle.
     ///
-    /// On the pooled runtimes (native thread pool or async cooperative
-    /// executor) the job executes asynchronously on the shared pool:
-    /// submit many jobs before waiting on any of them and they run
-    /// concurrently, each with isolated per-job state. On the modelled
+    /// On the pooled runtime (the native thread pool) the job executes
+    /// asynchronously on the shared pool: submit many jobs before waiting
+    /// on any of them and they run concurrently, each with isolated per-job
+    /// state. On the modelled
     /// engines the job runs eagerly on the calling thread (they are
     /// single-threaded models; there is no pool to hand them to) and the
     /// handle is immediately ready.
@@ -756,7 +750,7 @@ impl Runtime {
         let (compiled, opts) = (program.compiled(), &self.opts);
         let mut outcome = match self.kind {
             // The simulator reaches the shared exec core too, so a traced
-            // run records the same core events as the pooled engines.
+            // run records the same core events as the pooled engine.
             EngineKind::Sim => {
                 let trace = trace_job.as_ref().map(|(rec, job)| TraceHandle {
                     rec: Arc::clone(rec),
@@ -766,9 +760,7 @@ impl Runtime {
             }
             EngineKind::Seq => seq::run(compiled, args, opts),
             EngineKind::Pr => pr::run(compiled, args, opts),
-            EngineKind::Native | EngineKind::AsyncCoop => {
-                unreachable!("pooled kinds submit through the job service")
-            }
+            EngineKind::Native => unreachable!("the pooled kind submits through the job service"),
         };
         if let Some((rec, job)) = &trace_job {
             rec.emit(rec.service_lane(), *job, 0, TraceEventKind::JobFinished);

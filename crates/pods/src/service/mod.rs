@@ -2,7 +2,7 @@
 //! fairness, deadlines, and aggregate metrics for pooled runtimes.
 //!
 //! This layer sits between the public [`crate::Runtime`] API and the pooled
-//! backends (the native thread pool and the async cooperative executor).
+//! backend (the native thread pool).
 //! Job arrival is treated as an unbounded stream, not a batch: submissions
 //! are admitted into a bounded queue ([`crate::PodsError::QueueFull`] /
 //! blocking backpressure at capacity), a dispatcher thread drains the queue
@@ -145,9 +145,11 @@ impl ServiceInner {
             if st.shutdown {
                 // Unreachable through the public API (shutdown needs `&mut
                 // Runtime`), but terminal rather than hanging if reached.
-                ticket.set_cancel_kind(CancelKind::Shutdown);
-                ticket.cancelled(cancellation_error().into());
-                self.metrics.note_cancelled();
+                self.cancel_undispatched(
+                    &ticket,
+                    CancelKind::Shutdown,
+                    cancellation_error().into(),
+                );
                 return Ok(ticket);
             }
             if st.queue.is_empty() && st.in_flight.len() < self.window {
@@ -201,6 +203,16 @@ impl ServiceInner {
         }
     }
 
+    /// Cancels a job that never reached the pool: records why, books it,
+    /// and only then releases its waiter, so a waiter that observes the
+    /// cancellation finds it in the metrics too. Callers update the queue
+    /// depth before calling, for the same reason.
+    fn cancel_undispatched(&self, ticket: &Ticket, kind: CancelKind, err: PodsError) {
+        ticket.set_cancel_kind(kind);
+        self.metrics.note_cancelled();
+        ticket.cancelled(err);
+    }
+
     /// Submits one queued job to the pool. Caller holds the state lock.
     fn dispatch_locked(self: &Arc<Self>, st: &mut ServiceState, qj: QueuedJob) {
         let QueuedJob {
@@ -210,16 +222,14 @@ impl ServiceInner {
         } = qj;
         let Some(backend) = self.backend.upgrade() else {
             // The runtime is tearing down; terminal, like shutdown.
-            ticket.set_cancel_kind(CancelKind::Shutdown);
-            ticket.cancelled(cancellation_error().into());
-            self.metrics.note_cancelled();
+            self.cancel_undispatched(&ticket, CancelKind::Shutdown, cancellation_error().into());
             return;
         };
         let mut spec = prepared.job_spec(&self.opts);
         let hook_self = Arc::clone(self);
         let hook_ticket = Arc::clone(&ticket);
-        spec.on_done = Some(Arc::new(move |store: StoreStats| {
-            hook_self.job_finished(&hook_ticket, store);
+        spec.on_done = Some(Arc::new(move |store: StoreStats, failed: bool| {
+            hook_self.job_finished(&hook_ticket, store, failed);
         }));
         if let Some(rec) = &self.trace {
             if ticket.trace_job != 0 {
@@ -238,9 +248,12 @@ impl ServiceInner {
     }
 
     /// Completion hook: runs on a pool worker thread, exactly once per
-    /// dispatched job, with no pool locks held.
-    fn job_finished(&self, ticket: &Arc<Ticket>, store: StoreStats) {
-        match ticket.cancel_kind() {
+    /// dispatched job, with no pool locks held. A job is booked cancelled
+    /// only when it failed *and* the service asked it to stop: a cancel
+    /// that loses the race against normal completion leaves its kind set on
+    /// a job that returns `Ok`, and that job counts as completed.
+    fn job_finished(&self, ticket: &Arc<Ticket>, store: StoreStats, failed: bool) {
+        match ticket.cancel_kind().filter(|_| failed) {
             Some(_) => self.metrics.note_cancelled(),
             None => {
                 self.trace_job_event(ticket.trace_job, TraceEventKind::JobFinished);
@@ -263,11 +276,9 @@ impl ServiceInner {
         let mut st = self.state.lock().expect("service state poisoned");
         let removed = st.queue.purge(|qj| Arc::ptr_eq(&qj.ticket, ticket));
         if !removed.is_empty() {
-            ticket.set_cancel_kind(CancelKind::User);
-            ticket.cancelled(user_cancel_error().into());
-            self.trace_job_event(ticket.trace_job, TraceEventKind::JobCancelled);
-            self.metrics.note_cancelled();
             self.metrics.set_depth(st.queue.len());
+            self.trace_job_event(ticket.trace_job, TraceEventKind::JobCancelled);
+            self.cancel_undispatched(ticket, CancelKind::User, user_cancel_error().into());
             drop(st);
             self.slot_cv.notify_all();
             return;
@@ -328,16 +339,15 @@ fn dispatcher_loop(inner: Arc<ServiceInner>) {
                 .queue
                 .purge(|qj| qj.ticket.deadline.is_some_and(|d| d <= now));
             if !expired.is_empty() {
+                inner.metrics.set_depth(st.queue.len());
                 for qj in &expired {
-                    qj.ticket.set_cancel_kind(CancelKind::Deadline);
                     inner.trace_job_event(qj.ticket.trace_job, TraceEventKind::JobDeadline);
-                    qj.ticket.cancelled(PodsError::DeadlineExceeded {
+                    let err = PodsError::DeadlineExceeded {
                         deadline: qj.ticket.deadline_dur.unwrap_or_default(),
                         breakdown: inner.job_breakdown(qj.ticket.trace_job),
-                    });
-                    inner.metrics.note_cancelled();
+                    };
+                    inner.cancel_undispatched(&qj.ticket, CancelKind::Deadline, err);
                 }
-                inner.metrics.set_depth(st.queue.len());
                 inner.slot_cv.notify_all();
             }
             for entry in &st.in_flight {
@@ -460,11 +470,13 @@ impl JobService {
             let drained = st.queue.purge(|_| true);
             self.inner.metrics.set_depth(0);
             for qj in &drained {
-                qj.ticket.set_cancel_kind(CancelKind::Shutdown);
                 self.inner
                     .trace_job_event(qj.ticket.trace_job, TraceEventKind::JobCancelled);
-                qj.ticket.cancelled(cancellation_error().into());
-                self.inner.metrics.note_cancelled();
+                self.inner.cancel_undispatched(
+                    &qj.ticket,
+                    CancelKind::Shutdown,
+                    cancellation_error().into(),
+                );
             }
             for entry in &st.in_flight {
                 if !entry.canceller.is_done() {
@@ -477,5 +489,35 @@ impl JobService {
         if let Some(t) = self.dispatcher.take() {
             t.join().expect("service dispatcher panicked");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_failed_jobs_with_a_cancel_kind_are_booked_cancelled() {
+        // The deadline watchdog sets the cancel kind before it stops a job,
+        // so a job can finish normally with the kind already set. The
+        // completion hook must book that job as completed.
+        let mut svc = JobService::start(
+            Weak::new(),
+            RunOptions::default(),
+            0,
+            1,
+            HashMap::new(),
+            Arc::new(MetricsRegistry::new(0)),
+            None,
+        );
+        for failed in [false, true] {
+            let ticket = Arc::new(Ticket::new(ClientId(1), None, 0));
+            ticket.set_cancel_kind(CancelKind::Deadline);
+            svc.inner
+                .job_finished(&ticket, StoreStats::default(), failed);
+        }
+        let m = svc.inner.metrics.snapshot();
+        assert_eq!((m.completed, m.cancelled), (1, 1), "{m:?}");
+        svc.shutdown();
     }
 }

@@ -6,7 +6,7 @@
 //! service dispatcher), the job and instance they are attributed to, and a
 //! kind. The kinds mirror the runtime's layers: job lifecycle events come
 //! from the service, scheduling events (spawn, run spans, steals,
-//! resumptions) from the pooled engines, and core events (suspension with
+//! resumptions) from the pooled engine, and core events (suspension with
 //! pc + slot, deferred loads with array id + pc, chunk advances) from the
 //! shared instruction core via [`pods_sp::exec::TraceSink`].
 

@@ -4,7 +4,7 @@
 //! Tracing is **off by default** and costs ~nothing while off: the exec
 //! core's [`pods_sp::exec::ExecCtx::trace_sink`] hook defaults to a
 //! constant `None` (monomorphized away for engines that never trace), and
-//! the pooled engines guard every emission site with one branch on an
+//! the pooled engine guards every emission site with one branch on an
 //! `Option` carried by the job. Enable it with
 //! [`crate::RuntimeBuilder::trace`] or `PODS_TRACE=1` (per-worker ring
 //! size via `PODS_TRACE_BUF`); the `tracing_overhead` bench group verifies

@@ -177,8 +177,8 @@ impl TraceRecorder {
 
 /// A cloneable per-job handle into the recorder: the recorder plus the
 /// trace-job id the service assigned at admission. Travels in `JobSpec`
-/// (like the completion hook) so both pooled engines can emit without
-/// knowing about the service.
+/// (like the completion hook) so the pool can emit without knowing about
+/// the service.
 #[derive(Clone)]
 pub(crate) struct TraceHandle {
     pub(crate) rec: Arc<TraceRecorder>,
@@ -207,7 +207,7 @@ impl std::fmt::Debug for TraceHandle {
 
 /// Adapts a [`TraceHandle`] into the exec core's [`TraceSink`], attributing
 /// events to the PE lane the core reports. This is how the machine
-/// simulator produces the same core events as the pooled engines: the
+/// simulator produces the same core events as the pooled engine: the
 /// runtime boxes one of these and threads it into the simulation.
 pub(crate) struct RecorderExecSink {
     pub(crate) handle: TraceHandle,

@@ -1,12 +1,12 @@
 //! The shared SP instruction-execution core.
 //!
-//! Three schedulers execute SP instructions: the discrete-event machine
-//! simulator (`pods-machine`), the native work-stealing thread pool, and the
-//! async cooperative executor (both in the `pods` crate). Before this module
-//! existed each of them carried its own hand-copied `match instr`
-//! interpreter, and the differential test suite was the only thing keeping
-//! the three copies from drifting apart — a rule change (or a rule *fix*)
-//! had to be applied three times, identically, by hand.
+//! Two schedulers execute SP instructions: the discrete-event machine
+//! simulator (`pods-machine`) and the native work-stealing thread pool (in
+//! the `pods` crate). Before this module existed each scheduler carried its
+//! own hand-copied `match instr` interpreter, and the differential test
+//! suite was the only thing keeping the copies from drifting apart — a rule
+//! change (or a rule *fix*) had to be applied to each, identically, by
+//! hand.
 //!
 //! This module is the single audited implementation of the *semantics*:
 //! operand coercion, the dataflow firing rule, arithmetic evaluation,
@@ -16,15 +16,14 @@
 //!
 //! * [`ArrayOps`] — how I-structure storage is reached: the simulator's
 //!   per-PE [`pods_istructure::ArrayMemory`] (with page caching and remote
-//!   messages) vs the pooled engines' [`pods_istructure::SharedArrayStore`].
+//!   messages) vs the pooled engine's [`pods_istructure::SharedArrayStore`].
 //! * [`ExecCtx`] — the suspension strategy and everything else scheduler
 //!   shaped: frame slots, the program counter, cost accounting (the
 //!   simulator's timing model), spawning, and the stop signal. When the
 //!   firing rule finds an operand absent, [`run_instance`] returns
 //!   [`RunExit::Blocked`] and the engine decides what a suspension *is*:
-//!   the simulator re-queues the instance on an event, the native pool
-//!   parks it in a registry with a mailbox re-check, the async executor
-//!   saves the frame in the task and registers a waker.
+//!   the simulator re-queues the instance on an event, and the native pool
+//!   parks it in a registry with a mailbox re-check.
 //!
 //! # The unified rules
 //!
@@ -35,11 +34,10 @@
 //! * **Split-phase loads** ([`Instr::ArrayLoad`]): issuing a load clears the
 //!   destination slot's presence bit and the SP *keeps running* until the
 //!   value is actually consumed (the firing rule of a later instruction
-//!   blocks on the slot). The simulator always did this; the pooled engines
+//!   blocks on the slot). The simulator always did this; the pooled engine
 //!   used to suspend eagerly at the load itself. One consequence is shared
 //!   deadlock reporting: the diagnosed pc is always the instruction whose
-//!   operands are missing — the consumer — on every engine (previously the
-//!   async engine patched its report to the issuing pc instead).
+//!   operands are missing — the consumer — on every engine.
 //! * **Range-Filter clamping** ([`Instr::RangeLo`] / [`Instr::RangeHi`]):
 //!   the filter *partitions the source iteration range*; it must never
 //!   truncate it. A PE whose responsibility touches the array's edge keeps
@@ -332,7 +330,7 @@ pub enum Loaded {
     /// slot immediately.
     Ready(Value),
     /// The element has not been written. The implementation has registered
-    /// a waiter/waker for the destination slot; the core clears the slot's
+    /// a waiter for the destination slot; the core clears the slot's
     /// presence bit and the SP keeps running until the value is consumed.
     Deferred,
 }
@@ -347,8 +345,8 @@ pub enum Loaded {
 pub trait ArrayOps {
     /// Allocates an array and routes its [`Value::ArrayRef`] to `dst`. The
     /// core has already validated the dimensions (non-empty extents).
-    /// Implementations choose the delivery mechanics: the pooled engines
-    /// set the slot synchronously, the simulator clears it and delivers the
+    /// Implementations choose the delivery mechanics: the pooled engine
+    /// sets the slot synchronously, the simulator clears it and delivers the
     /// reference asynchronously from the Array Manager.
     ///
     /// # Errors
@@ -499,7 +497,7 @@ pub trait ExecCtx: ArrayOps {
 
     /// Called by the specialized driver each time a super-op fires (its
     /// hoisted firing check passed and the whole fused run executes).
-    /// Default: no-op; the pooled engines count these to report how much of
+    /// Default: no-op; the pooled engine counts these to report how much of
     /// the warm path ran through pre-resolved plans.
     #[inline(always)]
     fn super_op_fired(&mut self) {}

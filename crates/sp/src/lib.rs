@@ -19,9 +19,9 @@
 //!   implementation of SP semantics (operand coercion, the firing rule,
 //!   split-phase loads, Range-Filter clamping), generic over a suspension
 //!   strategy ([`exec::ExecCtx`]) and an I-structure access strategy
-//!   ([`exec::ArrayOps`]) so every engine — the machine simulator, the
-//!   native thread pool, the async cooperative executor — executes the
-//!   *same* semantics and differs only in scheduling mechanics.
+//!   ([`exec::ArrayOps`]) so every engine — the machine simulator and the
+//!   native thread pool — executes the *same* semantics and differs only
+//!   in scheduling mechanics.
 //!
 //! # Example
 //!

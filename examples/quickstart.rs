@@ -1,9 +1,7 @@
 //! Quickstart: compile a small declarative program, run it through the full
 //! PODS pipeline on a 4-PE simulated machine, and inspect the results —
 //! then run the same compiled program repeatedly on a persistent native
-//! [`Runtime`] whose worker pool is reused across runs, and once more on
-//! the cooperative async executor to see its suspension/resumption
-//! counters next to the native scheduler's.
+//! [`Runtime`] whose worker pool is reused across runs.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -65,7 +63,7 @@ fn main() -> Result<(), pods::PodsError> {
     println!("prepared: {prepared:?}");
     // Preparation also specialized the templates: straight-line runs are
     // now super-ops the warm path executes without re-interpreting, and
-    // each engine's summary below counts how often they fired.
+    // the native summary below counts how often they fired.
     let report = prepared.partition_report();
     println!(
         "specialized: {} of {} templates, {} super-ops, {} constants fused",
@@ -141,22 +139,5 @@ fn main() -> Result<(), pods::PodsError> {
         );
     }
 
-    // The async cooperative engine runs the same prepared handle: instances
-    // are futures-style state machines suspended/resumed by I-structure
-    // wakers instead of a parked-instance registry. Its stats expose the
-    // scheduler's work directly. (Select it in CLIs with PODS_ENGINE=async.)
-    let coop = Runtime::builder(EngineKind::AsyncCoop).workers(4).build();
-    let outcome = coop.run(&prepared, &[Value::Int(16)])?;
-    let EngineStats::AsyncCoop { stats, .. } = outcome.stats else {
-        unreachable!("async runtime reports async stats");
-    };
-    println!(
-        "async runtime (pool {}): {} parks / {} resumptions, {:.3} ms wall-clock",
-        stats.pool_id,
-        stats.parks,
-        stats.resumptions,
-        outcome.wall_us / 1000.0
-    );
-    println!("  {}", outcome.summary());
     Ok(())
 }

@@ -9,7 +9,7 @@
 //! and machine size), which also exercises the persistent native pool on
 //! every workload.
 
-use pods::{ChunkPolicy, EngineKind, RunOptions, Runtime, Value};
+use pods::{ChunkPolicy, EngineKind, EngineStats, RunOptions, Runtime, Value};
 
 /// The workload matrix: name, source, args, and a small machine-size sweep.
 fn workloads() -> Vec<(&'static str, &'static str, Vec<Value>)> {
@@ -35,21 +35,6 @@ fn values_close(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-9 || (a.is_nan() && b.is_nan())
 }
 
-/// The engines under differential test. By default every registered engine
-/// is swept; setting `PODS_ENGINE` restricts the sweep to that one engine
-/// (still checked against the sequential oracle), so CI can re-run the full
-/// workload matrix focused on each pooled scheduler in turn:
-/// `PODS_ENGINE=native cargo test --test engines_differential`.
-fn engines_under_test() -> Vec<EngineKind> {
-    match std::env::var("PODS_ENGINE") {
-        Ok(name) => {
-            let kind: EngineKind = name.parse().unwrap_or_else(|e| panic!("PODS_ENGINE: {e}"));
-            vec![kind]
-        }
-        Err(_) => EngineKind::ALL.to_vec(),
-    }
-}
-
 /// Runs one workload through every engine on several machine sizes and
 /// checks full agreement with the sequential oracle.
 fn assert_engines_agree(name: &str, source: &str, args: &[Value], pe_counts: &[usize]) {
@@ -58,16 +43,16 @@ fn assert_engines_agree(name: &str, source: &str, args: &[Value], pe_counts: &[u
         .run(&program, args)
         .unwrap_or_else(|e| panic!("{name}: oracle run failed: {e}"));
 
-    for kind in engines_under_test() {
+    for kind in EngineKind::ALL {
         let engine = kind.name();
         // One runtime per (engine, machine size, delivery batch, grain,
-        // specialization): the native pool / async executor is reused
-        // across every workload size swept below. Both pooled engines also
-        // run with unbatched (1) and batched (16) wake-up delivery — the
-        // batching must be invisible to results — and every engine
-        // additionally sweeps the chunk grain (1 = unchunked, a fixed 4,
-        // and the auto-tuned grain) at the batched delivery, since chunking
-        // must be equally invisible. Every configuration then runs both
+        // specialization): the native pool is reused across every workload
+        // size swept below. The pooled engine also runs with unbatched (1)
+        // and batched (16) wake-up delivery — the batching must be
+        // invisible to results — and every engine additionally sweeps the
+        // chunk grain (1 = unchunked, a fixed 4, and the auto-tuned grain)
+        // at the batched delivery, since chunking must be equally
+        // invisible. Every configuration then runs both
         // with and without prepare-time specialization: super-op dispatch
         // must be just as invisible as batching and chunking.
         let batches: &[usize] = if kind.is_pooled() { &[1, 16] } else { &[16] };
@@ -114,6 +99,10 @@ fn assert_engines_agree(name: &str, source: &str, args: &[Value], pe_counts: &[u
                         }
                     }
                     (a, b) => assert_eq!(a, b, "{label}: return value presence"),
+                }
+                // A completed pooled run resumed every instance it parked.
+                if let EngineStats::Native { stats, .. } = &outcome.stats {
+                    assert_eq!(stats.parks, stats.resumptions, "{label}: stranded park");
                 }
 
                 // Every array the oracle allocated exists (matched by source
@@ -193,8 +182,8 @@ fn unknown_engine_names_are_rejected() {
 
 #[test]
 fn parallel_engines_agree_on_partitioning_decisions() {
-    // All three parallel engines run the same partitioned program; their
-    // reports must be identical for identical options.
+    // The simulator and the native pool run the same partitioned program;
+    // their reports must be identical for identical options.
     let program = pods::compile(pods_workloads::FILL).unwrap();
     let run = |kind| {
         Runtime::with_options(kind, RunOptions::with_pes(4))
@@ -203,51 +192,10 @@ fn parallel_engines_agree_on_partitioning_decisions() {
     };
     let sim = run(EngineKind::Sim);
     let native = run(EngineKind::Native);
-    let coop = run(EngineKind::AsyncCoop);
     assert_eq!(
         sim.partition().unwrap().loops,
         native.partition().unwrap().loops
     );
-    assert_eq!(
-        sim.partition().unwrap().loops,
-        coop.partition().unwrap().loops
-    );
-}
-
-#[test]
-fn async_engine_agrees_on_prepared_and_raw_submissions() {
-    // The acceptance bar for the cooperative engine: raw programs,
-    // prepared handles, and handles prepared on a *native* runtime (the
-    // JobSpec is engine-portable) all match the oracle, batched and
-    // unbatched.
-    let program = pods::compile(pods_workloads::STENCIL).unwrap();
-    let args = [Value::Int(12)];
-    let oracle = Runtime::with_options(EngineKind::Seq, RunOptions::default())
-        .run(&program, &args)
-        .unwrap();
-    let expected = oracle.returned_array().unwrap().to_f64(f64::NAN);
-    for batch in [1usize, 16] {
-        let runtime = Runtime::builder(EngineKind::AsyncCoop)
-            .workers(4)
-            .delivery_batch(batch)
-            .build();
-        let prepared = runtime.prepare(&program);
-        let native_rt = Runtime::builder(EngineKind::Native).workers(2).build();
-        let foreign = native_rt.prepare(&program);
-        for (label, outcome) in [
-            ("raw", runtime.run(&program, &args).unwrap()),
-            ("prepared", runtime.run(&prepared, &args).unwrap()),
-            ("native-prepared", runtime.run(&foreign, &args).unwrap()),
-        ] {
-            let got = outcome.returned_array().unwrap().to_f64(f64::NAN);
-            for (i, (a, b)) in expected.iter().zip(&got).enumerate() {
-                assert!(
-                    values_close(*a, *b),
-                    "async/{label}/batch{batch}: [{i}] = {b}, oracle {a}"
-                );
-            }
-        }
-    }
 }
 
 #[test]

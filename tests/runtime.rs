@@ -5,20 +5,13 @@
 
 use pods::{
     CompiledProgram, EngineKind, EngineOutcome, EngineStats, NativeStats, PartitionConfig,
-    PoolStats, RunOptions, Runtime, Value,
+    RunOptions, Runtime, Value,
 };
 
 fn native_stats(outcome: &EngineOutcome) -> NativeStats {
     match &outcome.stats {
         EngineStats::Native { stats, .. } => *stats,
         other => panic!("expected native stats, got {other:?}"),
-    }
-}
-
-fn async_stats(outcome: &EngineOutcome) -> PoolStats {
-    match &outcome.stats {
-        EngineStats::AsyncCoop { stats, .. } => *stats,
-        other => panic!("expected async stats, got {other:?}"),
     }
 }
 
@@ -205,7 +198,18 @@ fn failures_are_job_scoped_and_do_not_poison_the_pool() {
     // Interleave failing and succeeding submissions.
     let bad_handle = runtime.submit(&deadlock, &[Value::Int(4)]).unwrap();
     let good_handle = runtime.submit(&good, &[Value::Int(12)]).unwrap();
-    assert!(bad_handle.wait().is_err(), "deadlock must be reported");
+    let err = bad_handle.wait().expect_err("deadlock must be reported");
+    assert!(
+        matches!(
+            err,
+            pods::PodsError::Simulation(pods::SimulationError::Deadlock { .. })
+        ),
+        "unexpected error: {err:?}"
+    );
+    assert!(
+        err.to_string().contains("awaiting"),
+        "deadlock must name the awaited slot: {err}"
+    );
     let outcome = good_handle.wait().unwrap();
     assert_matches_oracle("good job next to failing job", &outcome, &oracle);
 
@@ -422,9 +426,9 @@ fn prepared_handles_reject_mismatched_chunk_grains() {
     ));
 
     // A *matching* grain is engine-portable: the same chunked handle runs
-    // on native, sim, and async runtimes configured for grain 4, matching
-    // the oracle everywhere.
-    for kind in [EngineKind::Native, EngineKind::Sim, EngineKind::AsyncCoop] {
+    // on native and sim runtimes configured for grain 4, matching the
+    // oracle everywhere.
+    for kind in [EngineKind::Native, EngineKind::Sim] {
         let runtime = Runtime::builder(kind).workers(2).chunk_size(4).build();
         let outcome = runtime.run(&prepared, &[Value::Int(16)]).unwrap();
         assert_matches_oracle(
@@ -767,6 +771,11 @@ fn huge_delivery_batches_never_strand_parked_instances() {
             .run(&program, &[Value::Int(n)])
             .unwrap_or_else(|e| panic!("{name} with huge batch failed: {e}"));
         assert_matches_oracle(&format!("{name} with huge batch"), &outcome, &oracle);
+        let stats = native_stats(&outcome);
+        assert_eq!(
+            stats.parks, stats.resumptions,
+            "{name}: a parked instance was stranded"
+        );
     }
 }
 
@@ -797,123 +806,6 @@ fn dropping_a_batching_runtime_cancels_outstanding_jobs_cleanly() {
             Err(e) => assert!(
                 e.to_string().contains("cancelled"),
                 "job {i}: unexpected error {e}"
-            ),
-        }
-    }
-}
-
-#[test]
-fn async_runtime_reuses_one_executor_and_matches_oracle() {
-    // The cooperative engine behind the same Runtime surface: sequential
-    // runs share one executor (pool identity + job sequencing), every
-    // result matches the oracle, and the scheduler counters balance.
-    let program = pods::compile(pods_workloads::RECURRENCE).unwrap();
-    let oracle = oracle_for(&program, &[Value::Int(32)]);
-    let runtime = Runtime::builder(EngineKind::AsyncCoop).workers(4).build();
-    let first = runtime.run(&program, &[Value::Int(32)]).unwrap();
-    let second = runtime.run(&program, &[Value::Int(32)]).unwrap();
-    assert_matches_oracle("async run 1", &first, &oracle);
-    assert_matches_oracle("async run 2", &second, &oracle);
-    let (s1, s2) = (async_stats(&first), async_stats(&second));
-    assert_eq!(s1.pool_id, runtime.pool_id().expect("async runtime pool"));
-    assert_eq!(s1.pool_id, s2.pool_id, "executor was not reused");
-    assert_eq!((s1.job_seq, s2.job_seq), (1, 2));
-    // The recurrence chains element reads, so instances must actually have
-    // suspended — and on a completed run every suspension was resumed.
-    assert!(s1.parks > 0, "recurrence must suspend instances");
-    assert_eq!(s1.parks, s1.resumptions);
-    assert!(s1.tasks >= s1.instances + s1.resumptions);
-}
-
-#[test]
-fn huge_async_delivery_batches_never_strand_a_waker() {
-    // Mirror of the native huge-batch no-strand test: a `delivery_batch`
-    // far larger than any workload's outstanding waiter count means the
-    // cap alone never forces a flush — only the task-boundary flushes keep
-    // suspended tasks alive. A missed boundary would strand a waker in the
-    // worker's buffer and deadlock these runs.
-    for (name, source, n) in [
-        ("stencil", pods_workloads::STENCIL, 16i64),
-        ("recurrence", pods_workloads::RECURRENCE, 48),
-        ("matmul", pods_workloads::MATMUL, 5),
-    ] {
-        let program = pods::compile(source).unwrap();
-        let oracle = oracle_for(&program, &[Value::Int(n)]);
-        let runtime = Runtime::builder(EngineKind::AsyncCoop)
-            .workers(4)
-            .delivery_batch(1 << 20)
-            .build();
-        let outcome = runtime
-            .run(&program, &[Value::Int(n)])
-            .unwrap_or_else(|e| panic!("async {name} with huge batch failed: {e}"));
-        assert_matches_oracle(&format!("async {name} with huge batch"), &outcome, &oracle);
-        let stats = async_stats(&outcome);
-        assert_eq!(
-            stats.parks, stats.resumptions,
-            "async {name}: a waker was stranded"
-        );
-    }
-}
-
-#[test]
-fn async_failures_are_job_scoped_and_deadlocks_are_detected() {
-    // The async engine's exact deadlock detection plus job isolation: a
-    // deadlocked job fails alone, the executor keeps serving, and the
-    // deadlock error names the awaited slot.
-    let deadlock = pods::compile("def main(n) { a = array(n); a[0] = 1; return a[1]; }").unwrap();
-    let good = pods::compile(pods_workloads::FILL).unwrap();
-    let oracle = oracle_for(&good, &[Value::Int(12)]);
-
-    let runtime = Runtime::builder(EngineKind::AsyncCoop).workers(2).build();
-    let bad_handle = runtime.submit(&deadlock, &[Value::Int(4)]).unwrap();
-    let good_handle = runtime.submit(&good, &[Value::Int(12)]).unwrap();
-    let err = bad_handle.wait().expect_err("deadlock must be reported");
-    assert!(
-        matches!(
-            err,
-            pods::PodsError::Simulation(pods::SimulationError::Deadlock { .. })
-        ),
-        "unexpected error: {err:?}"
-    );
-    assert!(
-        err.to_string().contains("awaiting"),
-        "deadlock must name the awaited slot: {err}"
-    );
-    let outcome = good_handle.wait().unwrap();
-    assert_matches_oracle("good async job next to deadlocked job", &outcome, &oracle);
-
-    for _ in 0..3 {
-        assert!(runtime.run(&deadlock, &[Value::Int(4)]).is_err());
-    }
-    let after = runtime.run(&good, &[Value::Int(12)]).unwrap();
-    assert_matches_oracle("async after repeated failures", &after, &oracle);
-}
-
-#[test]
-fn dropping_an_async_runtime_cancels_outstanding_jobs() {
-    // Drop-cancellation parity with the native pool: a deep backlog on the
-    // cooperative executor is cut short, every waiter resolves (completed
-    // or cancelled), nothing hangs on a suspended task or unflushed waker.
-    let program = pods::compile(pods_workloads::STENCIL).unwrap();
-    let runtime = Runtime::builder(EngineKind::AsyncCoop)
-        .workers(2)
-        .delivery_batch(64)
-        .build();
-    let args = [Value::Int(24)];
-    let prepared = runtime.prepare(&program);
-    let handles: Vec<_> = (0..16)
-        .map(|_| runtime.submit(&prepared, &args).unwrap())
-        .collect();
-    drop(runtime);
-    for (i, handle) in handles.into_iter().enumerate() {
-        match handle.wait() {
-            Ok(outcome) => assert!(
-                outcome.returned_array().unwrap().is_complete(),
-                "async job {i} completed with holes"
-            ),
-            Err(e) => assert!(
-                e.to_string().contains("cancelled"),
-                "async job {i}: unexpected error {e}"
             ),
         }
     }
@@ -1079,11 +971,4 @@ fn store_stats_flow_from_jobs_into_engine_and_service_metrics() {
     assert!(m.peak_array_bytes > 0);
     assert!(m.arrays_allocated >= 1);
     assert!(m.p50_latency_us > 0.0, "completed jobs record latency");
-
-    // Async parity: the same counters flow from the cooperative executor.
-    let async_rt = Runtime::builder(EngineKind::AsyncCoop).workers(2).build();
-    let outcome = async_rt.run(&program, &[Value::Int(32)]).unwrap();
-    let stats = async_stats(&outcome);
-    assert!(stats.store.peak_arrays >= 1);
-    assert!(async_rt.metrics().peak_live_arrays >= 1);
 }

@@ -1,5 +1,5 @@
 //! Edge-operand fuzzing of the shared instruction core, differentially
-//! across all five engines.
+//! across all four engines.
 //!
 //! Each property drives one template program with adversarial operand
 //! values — division by and near zero, `i64::MIN`/`i64::MAX`, negative and
@@ -47,8 +47,8 @@ const EDGES: &[Value] = &[
 ];
 
 /// One long-lived runtime per (engine kind, worker count, chunk grain,
-/// specialization): the pooled engines' worker pools are reused across
-/// every fuzz case instead of being spawned per case. The grain sweep
+/// specialization): the native worker pool is reused across every fuzz
+/// case instead of being spawned per case. The grain sweep
 /// (1 = unchunked, a fixed 4, auto-tuned) pins the chunk driver — including
 /// its chunk-aware Range-Filter re-evaluation — to the oracle on every
 /// adversarial operand, and the specialize sweep does the same for super-op

@@ -12,10 +12,7 @@
 //!
 //! Scale: the default run is sized for CI (a few hundred jobs). Set
 //! `PODS_SOAK_SCALE=<n>` to multiply the job counts for longer soaks
-//! (e.g. `PODS_SOAK_SCALE=10` for a thousands-of-jobs run). Set
-//! `PODS_ENGINE=native|async` to pick the pooled scheduler under test
-//! (default native; modelled engine names fall back to native, since only
-//! pooled runtimes have a service layer).
+//! (e.g. `PODS_SOAK_SCALE=10` for a thousands-of-jobs run).
 
 use pods::{ClientId, EngineKind, PodsError, Runtime, Value};
 use std::time::Duration;
@@ -27,21 +24,6 @@ fn scale() -> usize {
         .and_then(|s| s.parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
-}
-
-/// The pooled engine under test, from `PODS_ENGINE`.
-fn engine_under_test() -> EngineKind {
-    match std::env::var("PODS_ENGINE") {
-        Ok(name) => {
-            let kind: EngineKind = name.parse().unwrap_or_else(|e| panic!("PODS_ENGINE: {e}"));
-            if kind.is_pooled() {
-                kind
-            } else {
-                EngineKind::Native
-            }
-        }
-        Err(_) => EngineKind::Native,
-    }
 }
 
 #[test]
@@ -67,7 +49,7 @@ fn weighted_clients_share_a_saturated_runtime_fairly() {
          }",
     )
     .unwrap();
-    let runtime = Runtime::builder(engine_under_test())
+    let runtime = Runtime::builder(EngineKind::Native)
         .workers(2)
         .dispatch_window(1)
         .client_weight(heavy, 2)
@@ -170,7 +152,7 @@ fn bounded_queue_backpressure_accounts_for_every_submission() {
         "def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i * 2; } return a; }",
     )
     .unwrap();
-    let runtime = Runtime::builder(engine_under_test())
+    let runtime = Runtime::builder(EngineKind::Native)
         .workers(2)
         .dispatch_window(1)
         .admission_capacity(CAPACITY)
@@ -267,7 +249,7 @@ fn deadlines_fire_as_deadline_exceeded_not_hangs() {
          }",
     )
     .unwrap();
-    let runtime = Runtime::builder(engine_under_test())
+    let runtime = Runtime::builder(EngineKind::Native)
         .workers(2)
         .dispatch_window(1)
         .deadline(deadline)
@@ -312,7 +294,7 @@ fn dropping_a_loaded_runtime_drains_cleanly() {
         "def main(n) { a = array(n); for i = 0 to n - 1 { a[i] = i + 1; } return a; }",
     )
     .unwrap();
-    let runtime = Runtime::builder(engine_under_test())
+    let runtime = Runtime::builder(EngineKind::Native)
         .workers(2)
         .dispatch_window(1)
         .build();

@@ -1,5 +1,5 @@
 //! Flight-recorder contract tests, exercised through the public runtime
-//! API on both pooled engines:
+//! API on the pooled engine:
 //!
 //! 1. a runtime built without tracing records nothing (and `PODS_TRACE`
 //!    stays an opt-in — these tests never set it),
@@ -65,9 +65,10 @@ fn assert_ordered_and_balanced(events: &[TraceEvent]) {
     }
 }
 
-fn soak(kind: EngineKind) {
+#[test]
+fn native_soak_trace_is_ordered_and_span_balanced() {
     let program = fill_program();
-    let runtime = Runtime::builder(kind)
+    let runtime = Runtime::builder(EngineKind::Native)
         .workers(4)
         .trace(TraceConfig::new().buffer_size(1 << 20))
         .build();
@@ -114,16 +115,6 @@ fn soak(kind: EngineKind) {
 
     // Draining consumed the stream.
     assert!(runtime.take_trace().is_empty());
-}
-
-#[test]
-fn native_soak_trace_is_ordered_and_span_balanced() {
-    soak(EngineKind::Native);
-}
-
-#[test]
-fn async_soak_trace_is_ordered_and_span_balanced() {
-    soak(EngineKind::AsyncCoop);
 }
 
 #[test]
